@@ -20,7 +20,6 @@
 #include "math/aabb.hpp"
 #include "platform/disk.hpp"
 #include "psys/system.hpp"
-#include "trace/event_log.hpp"
 
 namespace psanim::ckpt {
 class Vault;
@@ -61,7 +60,11 @@ std::string to_string(SystemCombine c);
 /// Observability knobs (psanim::obs). Tracing is on when either `trace`
 /// is supplied (caller keeps the trace for queries; must outlive the run)
 /// or `trace_json_path` is set (run_parallel owns an internal trace and
-/// writes the Chrome JSON at run end — the own_vault pattern).
+/// writes the Chrome JSON at run end — the own_vault pattern). The span
+/// stream is the run's one event record: every role's protocol phases and
+/// instants (Figure 2 as an executable trace) plus the fault injector's
+/// `fault:` notes. Message-buffer pool statistics are process-wide and not
+/// part of a run's metrics; read mp::BufferPool::global().stats().
 struct ObsSettings {
   obs::Trace* trace = nullptr;
   /// Export the run's Chrome trace-event JSON here ("" = don't write).
@@ -78,13 +81,6 @@ struct ObsSettings {
   /// Also write the full schema-versioned analysis report JSON here
   /// ("" = don't write; a non-empty path implies `analysis`).
   std::string analysis_json_path;
-  /// Export the process-wide mp::BufferPool stat deltas sampled around this
-  /// run as psanim_mp_buffer_* counters. The pool is shared by every
-  /// runtime in the process, so the farm turns this off for co-scheduled
-  /// jobs (neighbor traffic would be misattributed) and exports one
-  /// farm-level delta instead. run_parallel also skips the export on its
-  /// own when it detects another run overlapped it in wall-clock.
-  bool pool_metrics = true;
 
   bool tracing() const { return trace != nullptr || !trace_json_path.empty(); }
   bool analyzing() const { return analysis || !analysis_json_path.empty(); }
@@ -124,9 +120,6 @@ struct SimSettings {
   float collision_radius = 0.05f;
   float collision_restitution = 0.3f;
   std::uint64_t seed = 0x9d5c0ff5eedULL;
-  /// When set, every role records its protocol phase transitions here
-  /// (Figure 2 as an executable trace). Must outlive the run.
-  trace::EventLog* events = nullptr;
   /// Deterministic faults to inject (drops, duplicates, delay spikes,
   /// degradation, slowdowns, calculator crashes). Default: none. The plan
   /// is shared by every role; crash membership is derived from it

@@ -53,7 +53,7 @@ class ImageGenerator {
   /// Crashes already handled (by calculator index) — replayed frames must
   /// not re-trigger a rollback.
   std::vector<char> crash_done_;
-  /// Observability: span/EventLog fan-out and this rank's metric updates.
+  /// Observability: span stream and this rank's metric updates.
   obs::RoleTracer tr_;
   obs::ImageGenMetrics metrics_;
 };

@@ -22,7 +22,7 @@ Manager::Manager(const SimSettings& settings, const Scene& scene, RoleEnv env,
       base_rng_(settings.seed),
       alive_(static_cast<std::size_t>(settings.ncalc), 1),
       crash_done_(static_cast<std::size_t>(settings.ncalc), 0),
-      tr_(settings.obs.trace, settings.events, kManagerRank),
+      tr_(settings.obs.trace, kManagerRank),
       metrics_{env.metrics} {
   alive_list_.reserve(static_cast<std::size_t>(settings.ncalc));
   for (int c = 0; c < settings.ncalc; ++c) alive_list_.push_back(c);
@@ -36,8 +36,8 @@ Manager::Manager(const SimSettings& settings, const Scene& scene, RoleEnv env,
 }
 
 void Manager::run(mp::Endpoint& ep) {
-  // Both sinks at once: the span stream and the legacy EventLog labels
-  // (verbatim — tests pin the historical label sequence).
+  // Protocol instants on the span stream (verbatim labels — tests pin
+  // the historical label sequence).
   auto note = [&](std::uint32_t frame, const char* label) {
     tr_.instant(ep.clock(), frame, label);
   };

@@ -1,13 +1,11 @@
 #include "core/simulation.hpp"
 
-#include <atomic>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "ckpt/vault.hpp"
 #include "core/calculator.hpp"
-#include "mp/buffer_pool.hpp"
 #include "core/image_generator.hpp"
 #include "core/manager.hpp"
 #include "obs/analysis.hpp"
@@ -64,35 +62,6 @@ void fault_metrics(obs::MetricsRegistry& reg, const fault::FaultStats& fs) {
       .add(static_cast<double>(fs.merge_recoveries));
 }
 
-/// Message-path allocation counters for this run: the buffer pool's global
-/// tally is sampled around the run and the deltas exported, so one dump
-/// shows both virtual-time results and the wall-clock allocation behavior
-/// the pool exists to eliminate (misses == heap allocations).
-void pool_metrics(obs::MetricsRegistry& reg,
-                  const mp::BufferPool::Stats& before,
-                  const mp::BufferPool::Stats& after) {
-  const auto delta = [](std::uint64_t a, std::uint64_t b) {
-    return static_cast<double>(a - b);
-  };
-  reg.counter("psanim_mp_buffer_acquires_total")
-      .add(delta(after.acquires, before.acquires));
-  reg.counter("psanim_mp_buffer_pool_hits_total")
-      .add(delta(after.hits, before.hits));
-  reg.counter("psanim_mp_buffer_heap_allocs_total")
-      .add(delta(after.misses, before.misses));
-  reg.counter("psanim_mp_buffer_releases_total")
-      .add(delta(after.releases, before.releases));
-}
-
-// Concurrent-run detection for the pool export. mp::BufferPool is one
-// process-wide instance (thread-safe, but its counters are global), so a
-// per-run delta is only attributable when no other run_parallel overlapped
-// this one. The farm runs many jobs concurrently; their per-job exports are
-// disabled via ObsSettings::pool_metrics, and this guard additionally
-// protects ad-hoc concurrent callers.
-std::atomic<std::uint64_t> g_runs_started{0};
-std::atomic<int> g_runs_active{0};
-
 }  // namespace
 
 ParallelResult run_parallel(const Scene& scene, const SimSettings& settings,
@@ -140,15 +109,6 @@ ParallelResult run_parallel(const Scene& scene, const SimSettings& settings,
     calc_powers.push_back(rates.at(static_cast<std::size_t>(calc_rank(c))));
   }
 
-  // The injector lives here, not in the runtime: one per run, shared by
-  // every rank's endpoint through the RuntimeOptions hook seam.
-  std::unique_ptr<fault::Injector> injector;
-  if (eff.fault_plan.any() && rt_options.fault == nullptr) {
-    injector = std::make_unique<fault::Injector>(eff.fault_plan, world,
-                                                 eff.events);
-    rt_options.fault = injector.get();
-  }
-
   // Observability: the caller's trace, or (own_vault pattern) a private
   // one when only a JSON export path was requested.
   std::unique_ptr<obs::Trace> own_trace;
@@ -163,6 +123,16 @@ ParallelResult run_parallel(const Scene& scene, const SimSettings& settings,
                      eff.obs.flight_recorder ? eff.obs.flight_capacity : 0);
     name_trace(*trace, eff);
     rt_options.trace = trace;
+  }
+
+  // The injector lives here, not in the runtime: one per run, shared by
+  // every rank's endpoint through the RuntimeOptions hook seam. Its fault
+  // notes land on the run's span stream.
+  std::unique_ptr<fault::Injector> injector;
+  if (eff.fault_plan.any() && rt_options.fault == nullptr) {
+    injector =
+        std::make_unique<fault::Injector>(eff.fault_plan, world, trace);
+    rt_options.fault = injector.get();
   }
 
   // Topology platform: the settings' description wins over the spec's.
@@ -183,13 +153,6 @@ ParallelResult run_parallel(const Scene& scene, const SimSettings& settings,
     fabric = std::make_unique<platform::Fabric>(*plat, std::move(node_of));
     rt_options.contention = fabric.get();
   }
-
-  const std::uint64_t start_stamp = g_runs_started.fetch_add(1) + 1;
-  const bool entered_alone = g_runs_active.fetch_add(1) == 0;
-  struct ActiveGuard {
-    ~ActiveGuard() { g_runs_active.fetch_sub(1); }
-  } active_guard;
-  const mp::BufferPool::Stats pool_before = mp::BufferPool::global().stats();
 
   mp::Runtime runtime(
       world,
@@ -282,15 +245,6 @@ ParallelResult run_parallel(const Scene& scene, const SimSettings& settings,
         obs::write_analysis_json(analysis, eff.obs.analysis_json_path);
       }
     }
-  }
-  const mp::BufferPool::Stats pool_after = mp::BufferPool::global().stats();
-  // Exclusive iff nothing was active at entry and no run started since.
-  const bool exclusive =
-      entered_alone && g_runs_started.load() == start_stamp;
-  if (eff.obs.pool_metrics && exclusive) {
-    pool_metrics(result.metrics, pool_before, pool_after);
-  } else if (eff.obs.pool_metrics) {
-    result.metrics.counter("psanim_mp_buffer_stats_skipped_shared").inc();
   }
   return result;
 }

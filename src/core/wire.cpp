@@ -88,7 +88,12 @@ std::vector<SystemBatch> decode_batches(const mp::Message& m,
   mp::Reader r(m);
   check_control_header(r, "decode_batches");
   check_frame(r.get<std::uint32_t>(), expect_frame, "decode_batches");
+  // Every batch carries at least its system id and a length prefix, so a
+  // count the payload cannot hold is corrupt — refuse it before sizing.
   const auto n = r.get<std::uint32_t>();
+  if (n > r.remaining() / (sizeof(std::uint32_t) + sizeof(std::uint64_t))) {
+    throw mp::DecodeError("decode_batches: batch count exceeds payload");
+  }
   std::vector<SystemBatch> out(n);
   for (auto& b : out) {
     b.system = r.get<std::uint32_t>();

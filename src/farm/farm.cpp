@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "mp/buffer_pool.hpp"
 #include "obs/trace.hpp"
 #include "render/compare.hpp"
 
@@ -165,13 +164,12 @@ JobHandle Farm::submit(JobSpec spec) {
            std::to_string(total_slots_) +
            " CPU slots — it can never be scheduled");
   }
-  // Cross-job isolation: per-job checkpoints, traces and event logs. Two
-  // jobs writing one vault/trace/log would race and entangle recoveries.
-  // Jobs carrying none of the shared pointers skip the scan, keeping a
-  // 10k-job submission burst linear.
+  // Cross-job isolation: per-job checkpoints and traces. Two jobs writing
+  // one vault/trace would race and entangle recoveries. Jobs carrying
+  // neither shared pointer skip the scan, keeping a 10k-job submission
+  // burst linear.
   const bool shares_anything = spec.settings.ckpt_vault != nullptr ||
-                               spec.settings.obs.trace != nullptr ||
-                               spec.settings.events != nullptr;
+                               spec.settings.obs.trace != nullptr;
   for (const auto& other : jobs_) {
     if (!shares_anything) break;
     if (spec.settings.ckpt_vault != nullptr &&
@@ -183,11 +181,6 @@ JobHandle Farm::submit(JobSpec spec) {
         spec.settings.obs.trace == other->spec.settings.obs.trace) {
       reject("job '" + spec.name + "' shares an obs::Trace with job '" +
              other->spec.name + "' — traces are per-job");
-    }
-    if (spec.settings.events != nullptr &&
-        spec.settings.events == other->spec.settings.events) {
-      reject("job '" + spec.name + "' shares an EventLog with job '" +
-             other->spec.name + "' — event logs are per-job");
     }
   }
   auto rec = std::make_shared<JobRecord>();
@@ -430,37 +423,32 @@ bool Farm::launch_batch(std::vector<LaunchReq> batch, double now,
   // Execute the batch concurrently in wall-clock (each job is its own
   // mp::Runtime with instance-isolated mailboxes/clocks; the only shared
   // mutable substrate is the thread-safe global BufferPool). Results are
-  // virtual-time quantities, so the wall-clock interleaving — and the
-  // max_parallel_launches cap — cannot change them.
+  // virtual-time quantities, so the wall-clock interleaving, the
+  // max_parallel_launches cap and the worker counts cannot change them.
+  // By default the machine's hardware threads bound both: at most one job
+  // per hardware thread runs at once, and each job's fiber scheduler gets
+  // an even share of them sized by the cap, not by this batch — a lone
+  // small job handed the whole pool spends it on wake-ups, not work.
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
   const std::size_t cap =
       options_.max_parallel_launches > 0
           ? static_cast<std::size_t>(options_.max_parallel_launches)
-          : batch.size();
-  // Each concurrently-running job gets an even share of the machine's
-  // worker-thread budget for its fiber scheduler (workers never affect
-  // virtual-time results, only wall-clock drain rate).
-  int per_job_workers = options_.workers_per_job;
-  if (per_job_workers <= 0) {
-    const auto hw = std::max(1u, std::thread::hardware_concurrency());
-    const auto concurrent =
-        std::max<std::size_t>(1, std::min(cap, batch.size()));
-    per_job_workers =
-        std::max<int>(1, static_cast<int>(hw / concurrent));
-  }
+          : hw;
+  const int per_job_workers =
+      options_.workers_per_job > 0
+          ? options_.workers_per_job
+          : static_cast<int>(std::max<std::size_t>(1, hw / cap));
   const auto run_one = [this, per_job_workers](const LaunchReq& req,
                                                LaunchOut& out) {
     if (out.skipped) return;
     try {
       core::SimSettings eff = req.rec->spec.settings;
-      eff.obs.pool_metrics = false;  // pool is process-global; see Report
       if (req.restore) {
         // Restore segments are pure continuations: the first launch
-        // already produced the job's trace/analysis/event stream, so a
-        // resumed run records nothing (re-appending would double-count
-        // frames the DES says were never lost).
+        // already produced the job's trace and analysis, so a resumed run
+        // records nothing (re-appending would double-count frames the DES
+        // says were never lost).
         eff.obs = core::ObsSettings{};
-        eff.obs.pool_metrics = false;
-        eff.events = nullptr;
       } else if (out.own_trace != nullptr) {
         eff.obs.trace = out.own_trace.get();
         // Farm-provided tracing brings the in-process analysis along:
@@ -754,8 +742,6 @@ void Farm::mark_victims(const std::shared_ptr<JobRecord>& blocked,
 }
 
 void Farm::drive() {
-  const mp::BufferPool::Stats pool_before = mp::BufferPool::global().stats();
-
   const auto arrival_later = [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first > b.first;
     return a.second->seq > b.second->seq;
@@ -1288,15 +1274,6 @@ void Farm::drive() {
   }
   m.gauge("psanim_farm_queue_depth_peak")
       .set(static_cast<double>(depth_peak));
-  const mp::BufferPool::Stats pool_after = mp::BufferPool::global().stats();
-  m.counter("psanim_farm_buffer_acquires_total")
-      .add(static_cast<double>(pool_after.acquires - pool_before.acquires));
-  m.counter("psanim_farm_buffer_pool_hits_total")
-      .add(static_cast<double>(pool_after.hits - pool_before.hits));
-  m.counter("psanim_farm_buffer_heap_allocs_total")
-      .add(static_cast<double>(pool_after.misses - pool_before.misses));
-  m.counter("psanim_farm_buffer_releases_total")
-      .add(static_cast<double>(pool_after.releases - pool_before.releases));
 }
 
 // --- standalone oracle ----------------------------------------------------

@@ -79,8 +79,10 @@ struct FarmOptions {
   /// job ("jobname/manager", ...). Jobs that configured their own obs
   /// settings keep them.
   std::string obs_dir;
-  /// Cap on jobs launched concurrently in wall-clock per scheduling event
-  /// (0 = no cap). Virtual-time results are identical either way.
+  /// Cap on jobs launched concurrently in wall-clock per scheduling event.
+  /// <= 0 caps at std::thread::hardware_concurrency(), so a large DES
+  /// batch runs in waves instead of oversubscribing the host. Virtual-time
+  /// results are identical either way.
   int max_parallel_launches = 0;
   /// Execution core forwarded to every job's runtime (kDefault resolves
   /// through PSANIM_EXEC_MODE, exactly like a standalone run).
@@ -93,9 +95,11 @@ struct FarmOptions {
   /// same settings. Empty = legacy flat model.
   std::string platform;
   /// Fiber scheduler workers per concurrently-launched job. <= 0 splits
-  /// the hardware budget evenly across the wall-clock batch (at least one
-  /// each), so a farm draining hundreds of jobs shares one machine's worth
-  /// of worker threads instead of spawning a full-size pool per job.
+  /// the hardware budget evenly across the max_parallel_launches slots (at
+  /// least one worker each) — by the cap, not by how many jobs one DES
+  /// instant happens to launch — so a farm draining hundreds of small jobs
+  /// shares one machine's worth of worker threads instead of handing each
+  /// lone launch a full-size pool it spends on wake-ups.
   /// Worker counts never change virtual-time results. Ignored by kThreads.
   int workers_per_job = 0;
   /// Checkpoint cadence (frames) imposed on jobs launched under a
@@ -179,9 +183,8 @@ struct Report {
   /// Per-tenant service: integral of resident ranks over farm time — the
   /// quantity kFairShare equalizes. Keyed by JobSpec::tenant.
   std::map<std::string, double> tenant_rank_s;
-  /// Farm-level aggregates: job counts, makespan/flow, per-run buffer-pool
-  /// deltas (sampled farm-wide — per-job pool metrics are disabled because
-  /// the pool is process-global; see ObsSettings::pool_metrics).
+  /// Farm-level aggregates: job counts, makespan/flow, scheduling-decision
+  /// counts and SLO quantiles.
   obs::MetricsRegistry metrics;
 };
 

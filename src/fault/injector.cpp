@@ -4,7 +4,7 @@
 #include <string>
 
 #include "math/rng.hpp"
-#include "trace/event_log.hpp"
+#include "obs/trace.hpp"
 
 namespace psanim::fault {
 
@@ -21,12 +21,18 @@ std::uint64_t pair_key(int src, int dst) {
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst));
 }
 
+/// One fault note as an instant on `rank`'s span stream.
+void note(obs::Trace& trace, int rank, double vtime, std::uint32_t frame,
+          const std::string& label) {
+  trace.rank(rank).instant(trace.labels().intern(label), frame, vtime);
+}
+
 }  // namespace
 
-Injector::Injector(FaultPlan plan, int world_size, trace::EventLog* events)
+Injector::Injector(FaultPlan plan, int world_size, obs::Trace* trace)
     : plan_(plan),
       world_(world_size),
-      events_(events),
+      trace_(trace),
       pair_sends_(static_cast<std::size_t>(world_size) *
                   static_cast<std::size_t>(world_size)) {}
 
@@ -59,11 +65,10 @@ mp::SendFaults Injector::on_send(int src, int dst, int tag,
                      static_cast<std::uint64_t>(
                          static_cast<std::uint32_t>(tag)));
 
-  auto note = [&](const char* what) {
-    if (events_ != nullptr) {
-      events_->record(depart_s, src, frame,
-                      std::string("fault: ") + what + " -> rank " +
-                          std::to_string(dst));
+  auto note_send = [&](const char* what) {
+    if (trace_ != nullptr) {
+      note(*trace_, src, depart_s, frame,
+           std::string("fault: ") + what + " -> rank " + std::to_string(dst));
     }
   };
 
@@ -77,27 +82,27 @@ mp::SendFaults Injector::on_send(int src, int dst, int tag,
       out.extra_wire_s += static_cast<double>(lost) * plan_.retransmit_s;
       drops_.fetch_add(static_cast<std::uint64_t>(lost),
                        std::memory_order_relaxed);
-      note(lost == 1 ? "dropped, retransmitting"
-                     : "dropped repeatedly, retransmitting");
+      note_send(lost == 1 ? "dropped, retransmitting"
+                          : "dropped repeatedly, retransmitting");
     }
   }
   if (plan_.duplicate_rate > 0.0 && roll(state) < plan_.duplicate_rate) {
     out.duplicate = true;
     out.duplicate_lag_s = plan_.duplicate_lag_s;
     duplicates_.fetch_add(1, std::memory_order_relaxed);
-    note("duplicated");
+    note_send("duplicated");
   }
   if (plan_.delay_rate > 0.0 && roll(state) < plan_.delay_rate) {
     out.extra_wire_s += plan_.delay_spike_s;
     delay_spikes_.fetch_add(1, std::memory_order_relaxed);
-    note("delay spike");
+    note_send("delay spike");
   }
   if (plan_.degrade && depart_s >= plan_.degrade->after_s) {
     const double degraded_wire = plan_.degrade->link.cost_s(wire_bytes);
     if (degraded_wire > base_wire_s) {
       out.extra_wire_s += degraded_wire - base_wire_s;
       // Counted but not logged per message — after the degradation point
-      // this fires on nearly every send and would swamp the event log.
+      // this fires on nearly every send and would swamp the trace.
       degraded_msgs_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -113,10 +118,9 @@ mp::SendFaults Injector::on_send(int src, int dst, int tag,
 void Injector::on_duplicate_dropped(int rank, int src, double vtime,
                                     std::uint32_t frame) {
   duplicates_discarded_.fetch_add(1, std::memory_order_relaxed);
-  if (events_ != nullptr) {
-    events_->record(vtime, rank, frame,
-                    "fault: duplicate from rank " + std::to_string(src) +
-                        " discarded");
+  if (trace_ != nullptr) {
+    note(*trace_, rank, vtime, frame,
+         "fault: duplicate from rank " + std::to_string(src) + " discarded");
   }
 }
 

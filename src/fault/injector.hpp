@@ -14,8 +14,8 @@
 #include "fault/fault_plan.hpp"
 #include "mp/fault_hook.hpp"
 
-namespace psanim::trace {
-class EventLog;
+namespace psanim::obs {
+class Trace;
 }
 
 namespace psanim::fault {
@@ -43,10 +43,11 @@ struct FaultStats {
 
 class Injector final : public mp::FaultHook {
  public:
-  /// `events` (optional, not owned) receives one record per injected
-  /// fault, stamped with the sender's virtual time and current frame.
-  Injector(FaultPlan plan, int world_size,
-           trace::EventLog* events = nullptr);
+  /// `trace` (optional, not owned) receives one instant per injected
+  /// fault on the span stream of the rank whose endpoint invoked the hook,
+  /// stamped with that rank's virtual time and current frame. Both hooks
+  /// run on that rank's own thread, as RankRecorder requires.
+  Injector(FaultPlan plan, int world_size, obs::Trace* trace = nullptr);
 
   const FaultPlan& plan() const { return plan_; }
   FaultStats stats() const;
@@ -61,7 +62,7 @@ class Injector final : public mp::FaultHook {
  private:
   FaultPlan plan_;
   int world_;
-  trace::EventLog* events_;
+  obs::Trace* trace_;
   /// Messages sent so far per ordered (src, dst) pair; row src is only
   /// touched by rank src's thread.
   std::vector<std::uint64_t> pair_sends_;

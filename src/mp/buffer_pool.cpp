@@ -1,16 +1,9 @@
 #include "mp/buffer_pool.hpp"
 
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 
 namespace psanim::mp {
-
-BufferPool::BufferPool() {
-  if (const char* env = std::getenv("PSANIM_DISABLE_BUFFER_POOL")) {
-    if (env[0] != '\0' && std::strcmp(env, "0") != 0) enabled_ = false;
-  }
-}
 
 BufferPool& BufferPool::global() {
   static BufferPool pool;

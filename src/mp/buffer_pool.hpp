@@ -12,9 +12,9 @@
 // wall-clock bench suite's allocation guard.
 //
 // The pool is process-global and thread-safe (one mutex; the critical
-// section is a couple of pointer moves). It deliberately lives in mp with
-// no obs dependency — `core::run_parallel` exports the stats deltas into
-// `obs::MetricsRegistry` counters after a run.
+// section is a couple of pointer moves). Because every runtime in the
+// process shares it, its stats are not attributable to one run: callers
+// that want the numbers read `stats()` around their own window.
 
 #include <cstddef>
 #include <cstdint>
@@ -58,13 +58,11 @@ class BufferPool {
   std::size_t cached_buffers() const;
 
   /// Disabling turns acquire/release into plain allocate/free so benches
-  /// can measure the unpooled baseline in the same process. Also settable
-  /// via the PSANIM_DISABLE_BUFFER_POOL environment variable (any
-  /// non-empty value other than "0").
+  /// can measure the unpooled baseline in the same process.
   void set_enabled(bool on);
   bool enabled() const;
 
-  BufferPool();
+  BufferPool() = default;
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 

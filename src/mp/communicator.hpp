@@ -105,7 +105,7 @@ class Endpoint {
   void charge_io(double seconds) { clock_.charge_comm(seconds); }
 
   /// Frame number stamped onto fault-hook callbacks so injected faults
-  /// land in the event log against the right frame.
+  /// land on the span stream against the right frame.
   void set_trace_frame(std::uint32_t frame) { trace_frame_ = frame; }
   std::uint32_t trace_frame() const { return trace_frame_; }
 

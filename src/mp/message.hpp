@@ -202,7 +202,11 @@ class Reader {
       throw DecodeError("psanim::mp::Reader: vector length exceeds payload");
     }
     std::vector<T> out(static_cast<std::size_t>(n));
-    std::memcpy(out.data(), bytes_.data() + pos_, out.size() * sizeof(T));
+    // An empty vector's data() may be null, and memcpy from or to null is
+    // undefined even for zero bytes.
+    if (!out.empty()) {
+      std::memcpy(out.data(), bytes_.data() + pos_, out.size() * sizeof(T));
+    }
     pos_ += out.size() * sizeof(T);
     return out;
   }

@@ -1,12 +1,10 @@
 #pragma once
 
 // RoleTracer: the one observability handle a role carries through its run
-// loop. It fans each annotation out to both sinks — the structured span
-// stream (obs::Trace) and the legacy flat EventLog — which is what makes
-// EventLog a thin adapter over spans: the roles call RoleTracer, and the
-// old log keeps its exact historical labels as a projection of the richer
-// stream. Every method is null-safe, so a run with observability off costs
-// a handful of pointer tests per frame.
+// loop. It writes phase spans and protocol instants to this rank's span
+// stream (obs::Trace) and hides label interning from the roles. Every
+// method is null-safe, so a run with observability off costs a handful of
+// pointer tests per frame.
 //
 // The metric helper structs below translate the per-frame stats each role
 // already gathers into registry updates, keeping metric names and bucket
@@ -20,7 +18,6 @@
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/span.hpp"
-#include "trace/event_log.hpp"
 #include "trace/frame_stats.hpp"
 
 namespace psanim::obs {
@@ -49,25 +46,21 @@ class RoleTracer {
   };
 
   RoleTracer() = default;
-  RoleTracer(Trace* trace, trace::EventLog* events, int rank);
+  RoleTracer(Trace* trace, int rank);
 
   bool tracing() const { return rec_ != nullptr; }
 
-  /// Open a span named `span_name` (obs stream only; the legacy log keeps
-  /// its historical instants instead).
+  /// Open a span named `span_name`.
   Phase phase(const mp::VirtualClock& clk, std::uint32_t frame,
               std::string_view span_name);
 
-  /// Record an instant in both sinks — the obs stream and the EventLog
-  /// (same label, same virtual time).
+  /// Record an instant at the clock's current virtual time.
   void instant(const mp::VirtualClock& clk, std::uint32_t frame,
                std::string_view label);
 
  private:
   RankRecorder* rec_ = nullptr;
   LabelTable* labels_ = nullptr;
-  trace::EventLog* events_ = nullptr;
-  int rank_ = -1;
 };
 
 /// Calculator-side metric updates (null-safe on a disabled registry).

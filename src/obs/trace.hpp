@@ -85,8 +85,8 @@ class Trace final : public mp::TraceHook {
   std::vector<SpanRecord> sorted_records() const;
 
   /// Resolved timeline of one frame across all ranks, sorted by
-  /// (vtime, rank). Spans appear at their end time (matching the legacy
-  /// EventLog "phase done" convention) with a duration suffix.
+  /// (vtime, rank). Spans appear at their end time (the "phase done"
+  /// convention of the protocol instants) with a duration suffix.
   std::vector<TimelineEntry> frame_timeline(std::uint32_t frame) const;
 
   /// Chrome trace-event JSON (Perfetto-loadable). Only flow pairs where

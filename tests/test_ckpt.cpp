@@ -23,9 +23,9 @@
 #include "core/simulation.hpp"
 #include "core/wire.hpp"
 #include "mp/runtime.hpp"
+#include "obs/trace.hpp"
 #include "sim/run_config.hpp"
 #include "sim/scenario.hpp"
-#include "trace/event_log.hpp"
 
 namespace psanim {
 namespace {
@@ -349,10 +349,16 @@ bool same_image(const render::Framebuffer& a, const render::Framebuffer& b) {
                      a.colors().size() * sizeof(render::Color)) == 0;
 }
 
-std::size_t count_labeled(const trace::EventLog& log, const char* prefix) {
+/// Span-stream instants whose label starts with `prefix`.
+std::size_t count_labeled(const obs::Trace& trace, const char* prefix) {
   std::size_t n = 0;
-  for (const auto& e : log.sorted()) {
-    if (e.label.rfind(prefix, 0) == 0) ++n;
+  for (int r = 0; r < trace.world_size(); ++r) {
+    for (const auto& rec : trace.rank(r).records()) {
+      if (rec.kind == obs::RecordKind::kInstant &&
+          trace.labels().name(rec.label).rfind(prefix, 0) == 0) {
+        ++n;
+      }
+    }
   }
   return n;
 }
@@ -371,8 +377,8 @@ TEST_P(RestartRecovery, CrashedRunMatchesFaultFreeRunBitExactly) {
 
   settings.ckpt.interval = 2;  // snapshots after frames 1, 3, 5
   settings.fault_plan.crashes = {{.calc = 1, .at_frame = 5}};
-  trace::EventLog log;
-  settings.events = &log;
+  obs::Trace trace;
+  settings.obs.trace = &trace;
   const auto recovered = run(scene, settings);
 
   ASSERT_EQ(recovered.telemetry.image_frames().size(), settings.frames);
@@ -390,10 +396,10 @@ TEST_P(RestartRecovery, CrashedRunMatchesFaultFreeRunBitExactly) {
       EXPECT_LT(d.domain_lo(c), d.domain_hi(c)) << "calc " << c;
     }
   }
-  EXPECT_EQ(count_labeled(log, "fault: calculator crashed"), 1u);
-  EXPECT_GE(count_labeled(log, "recovery: restarting calculator"), 1u);
-  EXPECT_GE(count_labeled(log, "recovery: restored checkpoint"), 1u);
-  EXPECT_GE(count_labeled(log, "checkpoint:"), 1u);
+  EXPECT_EQ(count_labeled(trace, "fault: calculator crashed"), 1u);
+  EXPECT_GE(count_labeled(trace, "recovery: restarting calculator"), 1u);
+  EXPECT_GE(count_labeled(trace, "recovery: restored checkpoint"), 1u);
+  EXPECT_GE(count_labeled(trace, "checkpoint:"), 1u);
 
   // Replay costs time: the recovered animation takes longer.
   EXPECT_GT(recovered.animation_s, clean.animation_s);

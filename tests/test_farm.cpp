@@ -26,6 +26,7 @@
 #include "core/wire.hpp"
 #include "farm/farm.hpp"
 #include "farm/job.hpp"
+#include "obs/trace.hpp"
 #include "render/compare.hpp"
 #include "sim/scenario.hpp"
 
@@ -121,7 +122,7 @@ TEST(FarmAdmission, ValidateRejectsFarmInvalidConfigsDirectly) {
   EXPECT_NO_THROW(s.validate());
 }
 
-TEST(FarmAdmission, RejectsSharedVaultTraceOrEventLog) {
+TEST(FarmAdmission, RejectsSharedVaultOrTrace) {
   Farm f(flat_cluster(4, 2), fast_opts());
   ckpt::Vault vault;
   auto a = tiny_job("a");
@@ -133,12 +134,12 @@ TEST(FarmAdmission, RejectsSharedVaultTraceOrEventLog) {
   b.settings.ckpt_vault = &vault;  // same vault as a: reject
   EXPECT_THROW(f.submit(std::move(b)), std::invalid_argument);
 
-  trace::EventLog log;
+  obs::Trace trace;
   auto c = tiny_job("c");
-  c.settings.events = &log;
+  c.settings.obs.trace = &trace;
   EXPECT_NO_THROW(f.submit(std::move(c)));
   auto d = tiny_job("d");
-  d.settings.events = &log;
+  d.settings.obs.trace = &trace;  // same trace as c: reject
   EXPECT_THROW(f.submit(std::move(d)), std::invalid_argument);
 }
 
@@ -477,43 +478,6 @@ TEST(FarmAssign, ThrowsWhenSlotsShort) {
   EXPECT_THROW(farm::assign_slots(spec, {1}, 1), std::invalid_argument);
 }
 
-// --- pool-metric attribution under concurrent runs ----------------------
-
-TEST(FarmPoolMetrics, OverlappingRunsSkipMisattributedPoolDeltas) {
-  // run_parallel samples the process-global BufferPool around itself; with
-  // a neighbor running, that delta would blame the neighbor's traffic on
-  // this run. The overlap guard must detect concurrency and skip the
-  // export (emitting the skipped marker instead), while a solo run keeps
-  // the full psanim_mp_buffer_* counters.
-  const auto run_one = [](std::uint64_t seed) {
-    auto j = tiny_job("p", 1, 4, seed);
-    const auto a =
-        farm::assign_slots(flat_cluster(2, 2), {2, 2}, j.world_size());
-    return farm::standalone_run(std::move(j), a);
-  };
-  const auto solo = run_one(1);
-  EXPECT_NE(solo.metrics.find_counter("psanim_mp_buffer_acquires_total"),
-            nullptr);
-  EXPECT_EQ(solo.metrics.find_counter("psanim_mp_buffer_stats_skipped_shared"),
-            nullptr);
-
-  core::ParallelResult left, right;
-  std::thread t([&] { left = run_one(2); });
-  right = run_one(3);
-  t.join();
-  // Wall-clock racing isn't guaranteed to overlap, but whenever a run's
-  // window was shared the full delta must be absent and the marker
-  // present — never both.
-  for (const auto* r : {&left, &right}) {
-    const bool skipped =
-        r->metrics.find_counter("psanim_mp_buffer_stats_skipped_shared") !=
-        nullptr;
-    const bool exported =
-        r->metrics.find_counter("psanim_mp_buffer_acquires_total") != nullptr;
-    EXPECT_NE(skipped, exported);
-  }
-}
-
 // --- farm-level metrics -------------------------------------------------
 
 TEST(FarmReport, ExportsAggregateMetrics) {
@@ -525,8 +489,6 @@ TEST(FarmReport, ExportsAggregateMetrics) {
   EXPECT_NE(text.find("psanim_farm_jobs_done_total 2"), std::string::npos)
       << text;
   EXPECT_NE(text.find("psanim_farm_makespan_seconds"), std::string::npos);
-  // The farm samples the process-global buffer pool around the whole run.
-  EXPECT_NE(text.find("psanim_farm_buffer_acquires_total"), std::string::npos);
   // The scheduler SLO distributions ride along as quantile series.
   EXPECT_NE(text.find("psanim_farm_wait_seconds_p99"), std::string::npos);
   EXPECT_NE(text.find("psanim_farm_turnaround_seconds_p50"),

@@ -6,8 +6,8 @@
 //  * no deadlock: every run finishes all frames in bounded wall time;
 //  * bit-reproducibility: the same plan seed yields identical
 //    ProcessResult summaries, virtual times and rendered frames;
-//  * auditable faults: every injected fault and recovery action lands in
-//    the EventLog;
+//  * auditable faults: every injected fault and recovery action lands on
+//    the span stream, identically under both execution cores;
 //  * crash recovery: survivors inherit the dead calculator's domain and
 //    finish the animation.
 
@@ -31,7 +31,6 @@
 #include "psys/actions.hpp"
 #include "sim/run_config.hpp"
 #include "sim/scenario.hpp"
-#include "trace/event_log.hpp"
 
 namespace psanim {
 namespace {
@@ -91,12 +90,27 @@ void expect_identical_procs(const std::vector<mp::ProcessResult>& a,
   }
 }
 
-std::size_t count_labeled(const trace::EventLog& log, const char* prefix) {
-  std::size_t n = 0;
-  for (const auto& e : log.sorted()) {
-    if (e.label.rfind(prefix, 0) == 0) ++n;
+using Note = std::tuple<double, int, std::string>;
+
+/// Span-stream instants whose label starts with `prefix`, as sorted
+/// (vtime, rank, label) — a projection independent of thread schedule.
+std::vector<Note> labeled(const obs::Trace& trace, const char* prefix) {
+  std::vector<Note> out;
+  for (int r = 0; r < trace.world_size(); ++r) {
+    for (const auto& rec : trace.rank(r).records()) {
+      if (rec.kind != obs::RecordKind::kInstant) continue;
+      std::string label = trace.labels().name(rec.label);
+      if (label.rfind(prefix, 0) == 0) {
+        out.emplace_back(rec.begin_v, rec.rank, std::move(label));
+      }
+    }
   }
-  return n;
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::size_t count_labeled(const obs::Trace& trace, const char* prefix) {
+  return labeled(trace, prefix).size();
 }
 
 fault::FaultPlan message_chaos_plan(std::uint64_t seed) {
@@ -263,18 +277,19 @@ TEST_P(ChaosGrid, RunsCompleteAndReproduceBitExactly) {
   SimSettings settings = chaos_settings();
   settings.fault_plan = message_chaos_plan(seed);
 
-  trace::EventLog log;
-  settings.events = &log;
+  obs::Trace trace;
+  settings.obs.trace = &trace;
   const auto first = run(scene, settings);
 
   // No deadlock and no lost frames: the image generator finished all of
   // them, under drops, duplicates and delay spikes.
   ASSERT_EQ(first.telemetry.image_frames().size(), settings.frames);
   EXPECT_GT(first.fault_stats.total_faults(), 0u);
-  EXPECT_GT(count_labeled(log, "fault:"), 0u);
+  EXPECT_GT(count_labeled(trace, "fault:"), 0u);
 
-  // Same seed, same everything: virtual clocks, traffic and pixels.
-  settings.events = nullptr;
+  // Same seed, same everything — traced or not: virtual clocks, traffic
+  // and pixels.
+  settings.obs.trace = nullptr;
   const auto second = run(scene, settings);
   expect_identical_procs(first.procs, second.procs);
   EXPECT_EQ(first.animation_s, second.animation_s);
@@ -288,6 +303,42 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 7u, 42u),
                        ::testing::Bool()));
 
+TEST(FaultTrace, InjectorNotesMatchAcrossExecutionCores) {
+  // The injector writes one instant per noted fault onto the span stream
+  // of the rank whose endpoint hit it: drops, duplicates and delay spikes
+  // on the sender, discarded duplicates on the receiver. The notes are a
+  // pure function of the plan, so both execution cores record the same
+  // (vtime, rank, label) sequence.
+  const Scene scene = chaos_scene(/*snow=*/false);
+  SimSettings settings = chaos_settings();
+  settings.fault_plan = message_chaos_plan(42);
+
+  obs::Trace fiber_trace;
+  settings.obs.trace = &fiber_trace;
+  const auto fibers = run(scene, settings, mp::ExecMode::kFibers);
+  obs::Trace thread_trace;
+  settings.obs.trace = &thread_trace;
+  const auto threads = run(scene, settings, mp::ExecMode::kThreads);
+
+  const auto notes = labeled(fiber_trace, "fault:");
+  ASSERT_FALSE(notes.empty());
+  EXPECT_EQ(notes, labeled(thread_trace, "fault:"));
+
+  // One note per duplicate, delay spike and discarded copy; one per
+  // message that lost at least one transmission.
+  const auto& fs = fibers.fault_stats;
+  EXPECT_EQ(count_labeled(fiber_trace, "fault: duplicated"), fs.duplicates);
+  EXPECT_EQ(count_labeled(fiber_trace, "fault: delay spike"),
+            fs.delay_spikes);
+  EXPECT_EQ(count_labeled(fiber_trace, "fault: duplicate from rank"),
+            fs.duplicates_discarded);
+  const std::size_t dropped = count_labeled(fiber_trace, "fault: dropped");
+  EXPECT_GT(dropped, 0u);
+  EXPECT_LE(dropped, fs.drops);
+  EXPECT_EQ(threads.fault_stats.total_faults(), fs.total_faults());
+  expect_identical_procs(fibers.procs, threads.procs);
+}
+
 // --- crash recovery ---------------------------------------------------
 
 TEST(CrashRecovery, SurvivorsFinishWithTheMergedDomain) {
@@ -295,8 +346,8 @@ TEST(CrashRecovery, SurvivorsFinishWithTheMergedDomain) {
   SimSettings settings = chaos_settings();
   settings.fault_plan.crashes = {{.calc = 1, .at_frame = 3}};
 
-  trace::EventLog log;
-  settings.events = &log;
+  obs::Trace trace;
+  settings.obs.trace = &trace;
   const auto r = run(scene, settings);
 
   // All frames rendered despite losing a calculator mid-run.
@@ -312,8 +363,8 @@ TEST(CrashRecovery, SurvivorsFinishWithTheMergedDomain) {
   }
 
   // The crash and the recovery are in the trace.
-  EXPECT_EQ(count_labeled(log, "fault: calculator crashed"), 1u);
-  EXPECT_GE(count_labeled(log, "recovery:"), 2u);
+  EXPECT_EQ(count_labeled(trace, "fault: calculator crashed"), 1u);
+  EXPECT_GE(count_labeled(trace, "recovery:"), 2u);
 
   // The dead rank stopped early; every survivor outlived it.
   const double dead_finish =
@@ -344,14 +395,14 @@ TEST(CrashRecovery, ChaosPlusCrashIsReproducible) {
   settings.fault_plan = message_chaos_plan(1234);
   settings.fault_plan.crashes = {{.calc = 2, .at_frame = 4}};
 
-  trace::EventLog log;
-  settings.events = &log;
+  obs::Trace trace;
+  settings.obs.trace = &trace;
   const auto first = run(scene, settings);
   ASSERT_EQ(first.telemetry.image_frames().size(), settings.frames);
-  EXPECT_GT(count_labeled(log, "fault:"), 0u);
-  EXPECT_GE(count_labeled(log, "recovery:"), 2u);
+  EXPECT_GT(count_labeled(trace, "fault:"), 0u);
+  EXPECT_GE(count_labeled(trace, "recovery:"), 2u);
 
-  settings.events = nullptr;
+  settings.obs.trace = nullptr;
   const auto second = run(scene, settings);
   expect_identical_procs(first.procs, second.procs);
   EXPECT_TRUE(same_image(first.final_frame, second.final_frame));

@@ -23,10 +23,10 @@
 #include "mp/collectives.hpp"
 #include "mp/message.hpp"
 #include "mp/runtime.hpp"
+#include "obs/trace.hpp"
 #include "render/compare.hpp"
 #include "sim/run_config.hpp"
 #include "sim/scenario.hpp"
-#include "trace/event_log.hpp"
 
 namespace psanim {
 namespace {
@@ -283,11 +283,11 @@ TEST(Integration, PairCollisionsRunAndCharge) {
   EXPECT_GT(r.animation_s, 0.0);
 }
 
-TEST(Integration, EventLogReproducesFigure2Order) {
+TEST(Integration, SpanStreamReproducesFigure2Order) {
   const Scene scene = small_scene(1, 600, 4);
   SimSettings settings = small_settings(4);
-  trace::EventLog events;
-  settings.events = &events;
+  obs::Trace trace;
+  settings.obs.trace = &trace;
   settings.ncalc = 2;
   const auto built = homogeneous_cluster(2);
   core::run_parallel(scene, settings, built.spec, built.placement);
@@ -296,20 +296,28 @@ TEST(Integration, EventLogReproducesFigure2Order) {
   // exchange < report < frame-to-imgen < balance-done; and the image
   // completes after at least one calculator shipped its particles.
   for (std::uint32_t frame = 0; frame < 4; ++frame) {
-    const auto evs = events.frame_events(frame);
     std::map<int, std::vector<std::string>> per_rank;
     double image_done = -1;
     double first_ship = 1e30;
-    for (const auto& e : evs) {
-      per_rank[e.rank].push_back(e.label);
-      if (e.label.find("image generation complete") != std::string::npos) {
-        image_done = e.vtime;
-      }
-      if (e.label.find("sent to image generator") != std::string::npos) {
-        first_ship = std::min(first_ship, e.vtime);
+    for (int rank = 0; rank < trace.world_size(); ++rank) {
+      for (const auto& rec : trace.rank(rank).records()) {
+        if (rec.kind != obs::RecordKind::kInstant || rec.frame != frame) {
+          continue;
+        }
+        const std::string label = trace.labels().name(rec.label);
+        per_rank[rank].push_back(label);
+        if (label.find("image generation complete") != std::string::npos) {
+          image_done = rec.begin_v;
+        }
+        if (label.find("sent to image generator") != std::string::npos) {
+          first_ship = std::min(first_ship, rec.begin_v);
+        }
       }
     }
     EXPECT_GE(image_done, first_ship) << "frame " << frame;
+    for (int c = 0; c < settings.ncalc; ++c) {
+      EXPECT_EQ(per_rank.count(core::calc_rank(c)), 1u) << "calc " << c;
+    }
     for (const auto& [rank, labels] : per_rank) {
       if (rank < core::kFirstCalcRank) continue;
       const std::vector<std::string> expected{

@@ -25,10 +25,10 @@
 #include "obs/recorder.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
+#include "render/compare.hpp"
 #include "sim/report.hpp"
 #include "sim/run_config.hpp"
 #include "sim/scenario.hpp"
-#include "trace/event_log.hpp"
 
 namespace psanim {
 namespace {
@@ -224,22 +224,6 @@ TEST(Recorder, EmitRecoveredSkipsOwnHistoryAndFlagsForeignRecords) {
   ASSERT_EQ(fresh.records().size(), 1u);
   EXPECT_EQ(fresh.records()[0].replayed, 1u);
   EXPECT_GT(fresh.next_id(), own.back().id);
-}
-
-// --- EventLog interning (satellite) ------------------------------------
-
-TEST(EventLogInterning, RepeatedLabelsShareOneEntry) {
-  trace::EventLog log;
-  for (int i = 0; i < 100; ++i) {
-    log.record(0.1 * i, i % 3, 0, "calculus done");
-    log.record(0.1 * i + 0.05, i % 3, 0, std::string("frame ") +
-                                             std::to_string(i % 2));
-  }
-  EXPECT_EQ(log.size(), 200u);
-  EXPECT_EQ(log.label_count(), 3u);  // "calculus done", "frame 0", "frame 1"
-  // Resolution still yields the full strings, sorted by time.
-  const auto events = log.sorted();
-  EXPECT_EQ(events.front().label, "calculus done");
 }
 
 // --- settings validation (satellite) -----------------------------------
@@ -455,30 +439,33 @@ TEST(TraceRun, MetricsReproduceTelemetryAggregatesOnFaultFreeRuns) {
             std::string::npos);
 }
 
-TEST(TraceRun, LegacyEventLogLabelsAreUnchangedByTracing) {
+TEST(TraceRun, TracingLeavesVirtualResultsAndPixelsUnchanged) {
   const Scene scene = obs_scene();
   SimSettings settings = obs_settings();
+  const auto plain = run(scene, settings);
 
-  trace::EventLog plain;
-  settings.events = &plain;
-  run(scene, settings);
-
-  trace::EventLog traced;
   obs::Trace trace;
-  settings.events = &traced;
   settings.obs.trace = &trace;
-  run(scene, settings);
+  const auto traced = run(scene, settings);
 
-  // The flat log is a projection of the span stream: enabling obs must
-  // not change a single line of it.
-  const auto a = plain.sorted();
-  const auto b = traced.sorted();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].label, b[i].label) << i;
-    EXPECT_EQ(a[i].vtime, b[i].vtime) << i;
-    EXPECT_EQ(a[i].rank, b[i].rank) << i;
+  // Observation is free in virtual time: every rank's clocks and traffic,
+  // the time-to-images and every pixel match the untraced run.
+  ASSERT_GT(trace.record_count(), 0u);
+  ASSERT_EQ(plain.procs.size(), traced.procs.size());
+  for (std::size_t r = 0; r < plain.procs.size(); ++r) {
+    EXPECT_EQ(plain.procs[r].finish_time, traced.procs[r].finish_time) << r;
+    EXPECT_EQ(plain.procs[r].compute_s, traced.procs[r].compute_s) << r;
+    EXPECT_EQ(plain.procs[r].comm_s, traced.procs[r].comm_s) << r;
+    EXPECT_EQ(plain.procs[r].traffic.msgs_sent,
+              traced.procs[r].traffic.msgs_sent)
+        << r;
+    EXPECT_EQ(plain.procs[r].traffic.bytes_sent,
+              traced.procs[r].traffic.bytes_sent)
+        << r;
   }
+  EXPECT_EQ(plain.animation_s, traced.animation_s);
+  EXPECT_EQ(render::hash_framebuffer(plain.final_frame),
+            render::hash_framebuffer(traced.final_frame));
 }
 
 // --- chaos: the flight recorder survives a crash -----------------------

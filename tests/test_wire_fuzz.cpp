@@ -1,0 +1,267 @@
+// Wire-codec robustness fuzz: seeded mutations over every core/wire.cpp
+// decoder — particle batches, frame vertices, load reports, balance orders
+// and domain edges — asserting the decoders' contract everywhere: a
+// truncated payload, an inflated element count, a wrong control header or
+// a payload for another frame is refused with the decoder's typed error
+// (core::ProtocolError or mp::DecodeError); a flipped bit either decodes
+// or is refused the same way. Nothing crashes, nothing allocates from an
+// unchecked count, and every mutant lives in an exactly-sized buffer so an
+// out-of-bounds read shows under ASan. The corpus is generated in-process
+// from fixed seeds (splitmix64), so the suite is deterministic and nothing
+// binary is committed.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "ckpt/format.hpp"
+#include "core/wire.hpp"
+#include "mp/message.hpp"
+
+namespace psanim {
+namespace {
+
+using Bytes = std::vector<std::byte>;
+
+struct Rng {
+  std::uint64_t state;
+  std::uint64_t next() {
+    std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  }
+  std::uint64_t below(std::uint64_t n) { return next() % n; }
+};
+
+constexpr std::uint32_t kFrame = 7;
+/// Control header (magic + version) then the u32 frame number.
+constexpr std::size_t kFrameOffset = 2;
+constexpr std::size_t kCountOffset = kFrameOffset + sizeof(std::uint32_t);
+
+/// One decoder under test: a well-formed payload, the byte offset and
+/// width of its top-level element count, and a call that decodes a
+/// message and returns how many elements came out.
+struct Codec {
+  std::string name;
+  Bytes base;
+  std::size_t base_count = 0;
+  std::size_t count_width = sizeof(std::uint64_t);
+  std::function<std::size_t(const mp::Message&, std::uint32_t)> decode;
+};
+
+Bytes bytes_of(mp::Writer w) { return w.take(); }
+
+psys::Particle particle(float x) {
+  psys::Particle p;
+  p.pos = {x, 2 * x, -x};
+  p.vel = {1, 0, 0};
+  p.color = {0.5f, 0.25f, 1.0f};
+  p.age = x;
+  return p;
+}
+
+std::vector<Codec> codecs() {
+  std::vector<Codec> out;
+
+  std::vector<core::SystemBatch> batches(3);
+  batches[0] = {0, {particle(1), particle(2), particle(3)}};
+  batches[1] = {2, {}};
+  batches[2] = {5, {particle(4), particle(5)}};
+  out.push_back({"decode_batches",
+                 bytes_of(core::encode_batches(kFrame, batches)),
+                 batches.size(), sizeof(std::uint32_t),
+                 [](const mp::Message& m, std::uint32_t f) {
+                   return core::decode_batches(m, f).size();
+                 }});
+
+  std::vector<core::RenderVertex> verts;
+  for (int i = 0; i < 5; ++i) {
+    verts.push_back(core::to_render_vertex(particle(static_cast<float>(i))));
+  }
+  out.push_back({"decode_frame_vertices",
+                 bytes_of(core::encode_frame_vertices(kFrame, verts)),
+                 verts.size(), sizeof(std::uint64_t),
+                 [](const mp::Message& m, std::uint32_t f) {
+                   return core::decode_frame_vertices(m, f).size();
+                 }});
+
+  const std::vector<core::LoadEntry> loads{
+      {0, 1200, 0.25}, {1, 0, 0.0}, {3, 77, 1e-3}};
+  out.push_back({"decode_load_report",
+                 bytes_of(core::encode_load_report(kFrame, loads)),
+                 loads.size(), sizeof(std::uint64_t),
+                 [](const mp::Message& m, std::uint32_t f) {
+                   return core::decode_load_report(m, f).size();
+                 }});
+
+  const std::vector<core::OrderEntry> orders{
+      {0, 1, 2, 400}, {1, 0, 0, 12}, {0, 0, 1, 1}, {2, 1, 3, 9}};
+  out.push_back({"decode_orders",
+                 bytes_of(core::encode_orders(kFrame, orders)),
+                 orders.size(), sizeof(std::uint64_t),
+                 [](const mp::Message& m, std::uint32_t f) {
+                   return core::decode_orders(m, f).size();
+                 }});
+
+  const std::vector<core::EdgeEntry> edges{{0, 1, 0.5f}, {1, 2, -3.25f}};
+  out.push_back({"decode_edges", bytes_of(core::encode_edges(kFrame, edges)),
+                 edges.size(), sizeof(std::uint64_t),
+                 [](const mp::Message& m, std::uint32_t f) {
+                   return core::decode_edges(m, f).size();
+                 }});
+  return out;
+}
+
+enum class Outcome { kDecoded, kRejected };
+
+/// Decode `bytes` from an exactly-sized copy. Only the typed decoder
+/// errors count as a refusal; anything else escapes and fails the test.
+Outcome decode(const Codec& c, const Bytes& bytes,
+               std::uint32_t frame = kFrame) {
+  mp::Message m;
+  m.payload = Bytes(bytes.begin(), bytes.end());
+  try {
+    c.decode(m, frame);
+    return Outcome::kDecoded;
+  } catch (const core::ProtocolError&) {
+    return Outcome::kRejected;
+  } catch (const mp::DecodeError&) {
+    return Outcome::kRejected;
+  }
+}
+
+/// Overwrite a little-endian u32 or u64 field in place.
+void put_field(Bytes& bytes, std::size_t offset, std::size_t width,
+               std::uint64_t value) {
+  if (width == sizeof(std::uint32_t)) {
+    const auto v = static_cast<std::uint32_t>(value);
+    std::memcpy(bytes.data() + offset, &v, sizeof(v));
+  } else {
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  }
+}
+
+// --- the corpus is well formed -------------------------------------------
+
+TEST(WireFuzz, BasePayloadsRoundTrip) {
+  for (const auto& c : codecs()) {
+    SCOPED_TRACE(c.name);
+    mp::Message m;
+    m.payload = c.base;
+    EXPECT_EQ(c.decode(m, kFrame), c.base_count);
+  }
+}
+
+// --- truncation: every cut is refused -----------------------------------
+
+TEST(WireFuzz, TruncationAtEveryLengthIsRejected) {
+  for (const auto& c : codecs()) {
+    SCOPED_TRACE(c.name);
+    for (std::size_t len = 0; len < c.base.size(); ++len) {
+      const Bytes cut(c.base.begin(),
+                      c.base.begin() + static_cast<std::ptrdiff_t>(len));
+      EXPECT_EQ(decode(c, cut), Outcome::kRejected) << "len " << len;
+    }
+  }
+}
+
+// --- bit flips: corruption anywhere, never a crash ----------------------
+
+TEST(WireFuzz, SingleBitFlipsDecodeOrAreRejected) {
+  for (const auto& c : codecs()) {
+    SCOPED_TRACE(c.name);
+    Rng rng{2026};
+    std::size_t rejected = 0, decoded = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+      Bytes bytes = c.base;
+      const std::size_t pos = rng.below(bytes.size());
+      bytes[pos] ^= static_cast<std::byte>(1u << rng.below(8));
+      (decode(c, bytes) == Outcome::kDecoded ? decoded : rejected) += 1;
+    }
+    // Both outcomes occurred: flips in the header, frame or counts are
+    // refused; flips in element data decode (the wire has no checksum).
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(decoded, 0u);
+  }
+}
+
+// --- inflated counts: refused before anything is sized from them ---------
+
+TEST(WireFuzz, InflatedCountsAreRejected) {
+  for (const auto& c : codecs()) {
+    SCOPED_TRACE(c.name);
+    const std::uint64_t max = c.count_width == sizeof(std::uint32_t)
+                                  ? std::numeric_limits<std::uint32_t>::max()
+                                  : std::numeric_limits<std::uint64_t>::max();
+    // One too many, a plausible-looking overshoot, counts whose byte size
+    // wraps a 64-bit multiply, and the field's maximum.
+    const std::uint64_t inflated[] = {
+        c.base_count + 1, c.base_count * 1000 + 1, max / 16 + 1, max / 2,
+        max};
+    for (const std::uint64_t n : inflated) {
+      Bytes bytes = c.base;
+      put_field(bytes, kCountOffset, c.count_width, n);
+      EXPECT_EQ(decode(c, bytes), Outcome::kRejected) << "count " << n;
+    }
+  }
+}
+
+TEST(WireFuzz, InflatedNestedParticleCountIsRejected) {
+  // decode_batches also trusts a per-batch particle count: inflate the
+  // first batch's (after the u32 batch count and u32 system id) past what
+  // the payload holds.
+  const auto all = codecs();
+  const Codec& c = all.front();
+  ASSERT_EQ(c.name, "decode_batches");
+  const std::size_t offset = kCountOffset + 2 * sizeof(std::uint32_t);
+  for (const std::uint64_t n :
+       {std::uint64_t{1} << 20, std::uint64_t{1} << 40,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    Bytes bytes = c.base;
+    put_field(bytes, offset, sizeof(std::uint64_t), n);
+    EXPECT_EQ(decode(c, bytes), Outcome::kRejected) << "count " << n;
+  }
+}
+
+// --- wrong header or frame: always a ProtocolError -----------------------
+
+TEST(WireFuzz, WrongHeaderOrFrameIsAProtocolError) {
+  for (const auto& c : codecs()) {
+    SCOPED_TRACE(c.name);
+    mp::Message m;
+    // Every wrong magic byte and every wrong version byte...
+    for (int v = 0; v < 256; ++v) {
+      for (std::size_t at : {std::size_t{0}, std::size_t{1}}) {
+        const auto good = at == 0 ? ckpt::kFormatMagicByte
+                                  : ckpt::kFormatVersion;
+        if (v == good) continue;
+        Bytes bytes = c.base;
+        bytes[at] = static_cast<std::byte>(v);
+        m.payload = bytes;
+        EXPECT_THROW(c.decode(m, kFrame), core::ProtocolError)
+            << "header byte " << at << " = " << v;
+      }
+    }
+    // ...a payload stamped for another frame, and a receiver expecting
+    // another frame.
+    Bytes other = c.base;
+    put_field(other, kFrameOffset, sizeof(std::uint32_t), kFrame + 1);
+    m.payload = other;
+    EXPECT_THROW(c.decode(m, kFrame), core::ProtocolError);
+    m.payload = c.base;
+    for (const std::uint32_t expect :
+         {kFrame - 1, kFrame + 1, std::numeric_limits<std::uint32_t>::max()}) {
+      EXPECT_THROW(c.decode(m, expect), core::ProtocolError)
+          << "expect frame " << expect;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace psanim
