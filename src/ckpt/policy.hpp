@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
-#include "platform/disk.hpp"
 
 namespace psanim::ckpt {
 
@@ -38,11 +37,6 @@ struct CkptPolicy {
   /// values are rejected by SimSettings::validate().
   std::int32_t interval = 0;
   RecoveryMode recovery = RecoveryMode::kRestart;
-  /// Storage the vault's snapshot images are written to / read from. Each
-  /// store and fetch charges the owning rank `disk.write_s/read_s(bytes)`
-  /// of virtual I/O time. Default: free (the pre-platform behavior). A
-  /// platform whose node disk is non-free overrides this per rank.
-  platform::DiskModel disk{};
 
   bool enabled() const { return interval > 0; }
 

@@ -33,14 +33,18 @@ struct NodeType {
 /// A whole cluster: a list of nodes, a preferred interconnect and the
 /// compiler the binaries were built with (compiler affects every node's
 /// effective rate; the paper evaluates GCC and ICC builds separately).
+/// The spec is the only description of the machine: run_parallel and the
+/// farm take topology and checkpoint disk from it and nowhere else.
 struct ClusterSpec {
   std::vector<NodeType> nodes;
   net::Interconnect preferred = net::Interconnect::kFastEthernet;
   Compiler compiler = Compiler::kGcc;
   /// Topology platform description (platform::parse form: a preset name,
-  /// DSL, or JSON). Empty or "flat" keeps the legacy per-pair alpha-beta
-  /// model — no zone tree, no shared-link contention, bit-identical to
-  /// pre-platform behavior.
+  /// DSL, or JSON), parsed against node_count() at run time; its `;disk:`
+  /// clause is every rank's checkpoint disk. Empty or "flat" keeps the
+  /// legacy per-pair alpha-beta model — no zone tree, no shared-link
+  /// contention, free checkpoint I/O, bit-identical to pre-platform
+  /// behavior.
   std::string platform;
 
   std::size_t node_count() const { return nodes.size(); }

@@ -36,8 +36,10 @@ double CostModel::sort_s(std::size_t n, double rate) const {
 
 mp::LinkCostFn make_link_cost_fn(const ClusterSpec& spec,
                                  const Placement& placement,
-                                 const CostModel& cost) {
-  // Capture everything by value: the returned closure outlives its inputs.
+                                 const CostModel& cost,
+                                 const platform::Platform* plat) {
+  // Capture everything by value (the platform by pointer): the returned
+  // closure outlives its inputs.
   const auto rates = rank_rates(spec, placement, cost.smp_contention);
   const auto node_of = placement.node_of_rank;
   std::vector<net::NicSet> nics;
@@ -46,60 +48,30 @@ mp::LinkCostFn make_link_cost_fn(const ClusterSpec& spec,
   const auto preferred = spec.preferred;
   const CostModel cm = cost;
 
-  return [rates, node_of, nics, preferred, cm](
+  return [rates, node_of, nics, preferred, cm, plat](
              int src, int dst, std::size_t bytes) -> mp::MsgCost {
-    const auto sn = static_cast<std::size_t>(node_of.at(static_cast<std::size_t>(src)));
-    const auto dn = static_cast<std::size_t>(node_of.at(static_cast<std::size_t>(dst)));
-    const auto link =
-        net::resolve_link(nics[sn], nics[dn], sn == dn, preferred);
-    const double host =
-        cm.host_overhead_s(link.kind) +
-        static_cast<double>(bytes) / cm.host_bandwidth_bps(link.kind);
-    return mp::MsgCost{
-        .send_cpu_s = host / rates.at(static_cast<std::size_t>(src)),
-        .wire_s = link.cost_s(bytes),
-        .recv_cpu_s = host / rates.at(static_cast<std::size_t>(dst)),
-    };
-  };
-}
-
-mp::LinkCostFn make_link_cost_fn(const ClusterSpec& spec,
-                                 const Placement& placement,
-                                 const CostModel& cost,
-                                 const platform::Platform& platform) {
-  const auto rates = rank_rates(spec, placement, cost.smp_contention);
-  const auto node_of = placement.node_of_rank;
-  const CostModel cm = cost;
-  const platform::Platform* plat = &platform;
-
-  return [rates, node_of, cm, plat](int src, int dst,
-                                    std::size_t bytes) -> mp::MsgCost {
     const auto sn =
         static_cast<std::size_t>(node_of.at(static_cast<std::size_t>(src)));
     const auto dn =
         static_cast<std::size_t>(node_of.at(static_cast<std::size_t>(dst)));
-    double wire_s = 0.0;
-    net::Interconnect src_kind, dst_kind;
-    if (sn == dn) {
-      const auto lb = net::LinkModel::loopback();
-      wire_s = lb.cost_s(bytes);
-      src_kind = dst_kind = lb.kind;
+    platform::Platform::Wire w;
+    if (plat != nullptr) {
+      w = plat->wire(sn, dn);
     } else {
-      const auto w = plat->wire(sn, dn);
-      wire_s = w.latency_s + static_cast<double>(bytes) / w.bottleneck_bps;
-      src_kind = w.src_kind;
-      dst_kind = w.dst_kind;
+      const auto link =
+          net::resolve_link(nics[sn], nics[dn], sn == dn, preferred);
+      w = {link.latency_s, link.bandwidth_bps, link.kind, link.kind};
     }
-    const double send_host =
-        cm.host_overhead_s(src_kind) +
-        static_cast<double>(bytes) / cm.host_bandwidth_bps(src_kind);
-    const double recv_host =
-        cm.host_overhead_s(dst_kind) +
-        static_cast<double>(bytes) / cm.host_bandwidth_bps(dst_kind);
+    const double b = static_cast<double>(bytes);
+    const auto host_s = [&](net::Interconnect kind) {
+      return cm.host_overhead_s(kind) + b / cm.host_bandwidth_bps(kind);
+    };
     return mp::MsgCost{
-        .send_cpu_s = send_host / rates.at(static_cast<std::size_t>(src)),
-        .wire_s = wire_s,
-        .recv_cpu_s = recv_host / rates.at(static_cast<std::size_t>(dst)),
+        .send_cpu_s =
+            host_s(w.src_kind) / rates.at(static_cast<std::size_t>(src)),
+        .wire_s = w.latency_s + b / w.bottleneck_bps,
+        .recv_cpu_s =
+            host_s(w.dst_kind) / rates.at(static_cast<std::size_t>(dst)),
     };
   };
 }

@@ -61,22 +61,17 @@ struct CostModel {
   double sort_s(std::size_t n, double rate) const;
 };
 
-/// Build the message-cost function the mp runtime uses: wire time from the
-/// resolved link between the two ranks' nodes, host CPU overheads scaled
-/// by each rank's effective rate.
-mp::LinkCostFn make_link_cost_fn(const ClusterSpec& spec,
-                                 const Placement& placement,
-                                 const CostModel& cost);
-
-/// Topology-aware variant: wire time comes from the platform's route
-/// (additive latency, bottleneck bandwidth) instead of one resolved link,
-/// and host CPU overheads are charged by each endpoint's host-link kind.
-/// Same-node traffic stays loopback. `platform` is captured by pointer
-/// and must outlive the returned closure; shared-link *contention* is the
+/// Build the message-cost function the mp runtime uses. Wire time per
+/// node pair comes from `plat`'s route (additive latency, bottleneck
+/// bandwidth) when one is given, else from the flat model's resolved link
+/// between the two nodes' NICs; same-node traffic is loopback either way.
+/// Host CPU overheads are charged by each endpoint's link kind and scaled
+/// by each rank's effective rate. `plat` is captured by pointer and
+/// must outlive the returned closure; shared-link *contention* is the
 /// Fabric's job, not the cost function's.
 mp::LinkCostFn make_link_cost_fn(const ClusterSpec& spec,
                                  const Placement& placement,
                                  const CostModel& cost,
-                                 const platform::Platform& platform);
+                                 const platform::Platform* plat = nullptr);
 
 }  // namespace psanim::cluster

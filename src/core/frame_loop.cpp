@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "platform/parse.hpp"
-
 namespace psanim::core {
 
 void SimSettings::validate() const {
@@ -86,22 +84,6 @@ void SimSettings::validate() const {
     if (!obs.tracing()) {
       fail("obs.flight_recorder needs tracing on — supply obs.trace or set "
            "obs.trace_json_path");
-    }
-  }
-  if (!platform::is_flat(platform)) {
-    // Reject dangling platform names here, where the error still points at
-    // the setting, instead of deep inside run_parallel. Exact node-count
-    // sizing happens at run time against the cluster spec; validation
-    // tries the world size and a minimal size so size-adaptive presets
-    // are not falsely rejected.
-    try {
-      (void)platform::parse(platform, static_cast<std::size_t>(ncalc) + 2);
-    } catch (const std::invalid_argument& first) {
-      try {
-        (void)platform::parse(platform, 2);
-      } catch (const std::invalid_argument&) {
-        fail("platform '" + platform + "' is not usable: " + first.what());
-      }
     }
   }
   if (!obs.trace_json_path.empty()) {

@@ -151,11 +151,6 @@ struct SimSettings {
   std::optional<std::uint32_t> stop_after;
   /// Observability: span tracing, metrics, flight recorder (psanim::obs).
   ObsSettings obs;
-  /// Topology platform selecting wire costs and shared-link contention
-  /// (platform::parse form: preset name, DSL, or JSON). Empty or "flat"
-  /// keeps the legacy per-pair alpha-beta model bit-identically. When both
-  /// this and the cluster spec's platform are set, this one wins.
-  std::string platform;
 
   /// Reject nonsensical settings (non-positive frame counts, negative
   /// timeouts or checkpoint intervals, ...) with actionable messages.
@@ -180,9 +175,9 @@ struct RoleEnv {
   /// This rank's metrics registry (null = metrics off). Owner-thread
   /// mutation only, like every per-rank obs buffer.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Storage model for this rank's checkpoint I/O: the platform's
-  /// per-node disk when non-free, else CkptPolicy::disk. Default free —
-  /// vault stores/fetches charge nothing, the pre-platform behavior.
+  /// Storage model for this rank's checkpoint I/O: the disk named by the
+  /// cluster spec's platform description (`;disk:`), else free — vault
+  /// stores/fetches charge nothing, the pre-platform behavior.
   platform::DiskModel disk{};
 };
 

@@ -135,16 +135,14 @@ ParallelResult run_parallel(const Scene& scene, const SimSettings& settings,
     rt_options.fault = injector.get();
   }
 
-  // Topology platform: the settings' description wins over the spec's.
-  // Flat (the default) keeps the legacy per-pair cost function and no
-  // contention hook — bit-identical to pre-platform behavior.
-  const std::string& plat_desc =
-      !platform::is_flat(eff.platform) ? eff.platform : spec.platform;
+  // Topology platform: the cluster spec is the only machine description.
+  // Flat (the default) prices messages by the per-pair resolved link and
+  // installs no contention hook — bit-identical to pre-platform behavior.
   std::unique_ptr<platform::Platform> plat;
   std::unique_ptr<platform::Fabric> fabric;
-  if (!platform::is_flat(plat_desc)) {
+  if (!platform::is_flat(spec.platform)) {
     plat = std::make_unique<platform::Platform>(
-        platform::parse(plat_desc, spec.node_count()));
+        platform::parse(spec.platform, spec.node_count()));
     std::vector<std::size_t> node_of(static_cast<std::size_t>(world));
     for (int r = 0; r < world; ++r) {
       node_of[static_cast<std::size_t>(r)] = static_cast<std::size_t>(
@@ -155,10 +153,11 @@ ParallelResult run_parallel(const Scene& scene, const SimSettings& settings,
   }
 
   mp::Runtime runtime(
-      world,
-      plat ? cluster::make_link_cost_fn(spec, placement, cost, *plat)
-           : cluster::make_link_cost_fn(spec, placement, cost),
+      world, cluster::make_link_cost_fn(spec, placement, cost, plat.get()),
       rt_options);
+  // Every rank's checkpoint storage: the platform's `;disk:` clause, else
+  // free.
+  const platform::DiskModel disk = plat ? plat->disk : platform::DiskModel{};
 
   // Per-rank output slots; each thread writes only its own index.
   std::vector<trace::Telemetry> tele(static_cast<std::size_t>(world));
@@ -168,14 +167,6 @@ ParallelResult run_parallel(const Scene& scene, const SimSettings& settings,
       static_cast<std::size_t>(world));
 
   const auto procs = runtime.run([&](mp::Endpoint& ep) {
-    // This rank's checkpoint storage: the platform's node disk when it
-    // charges anything, else whatever the checkpoint policy configured.
-    platform::DiskModel disk = eff.ckpt.disk;
-    if (plat) {
-      const auto node = static_cast<std::size_t>(
-          placement.node_of_rank.at(static_cast<std::size_t>(ep.rank())));
-      if (!plat->disk_of(node).free()) disk = plat->disk_of(node);
-    }
     const RoleEnv env{&cost, rates.at(static_cast<std::size_t>(ep.rank())),
                       trace ? &trace->metrics(ep.rank()) : nullptr, disk};
     if (ep.rank() == kManagerRank) {

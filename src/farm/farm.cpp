@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "obs/trace.hpp"
+#include "platform/parse.hpp"
 #include "render/compare.hpp"
 
 namespace psanim::farm {
@@ -96,6 +97,9 @@ Farm::Farm(cluster::ClusterSpec shared, FarmOptions options)
       throw std::invalid_argument("Farm: every node needs >= 1 CPU slot");
     }
     total_slots_ += n.cpus;
+  }
+  if (!platform::is_flat(shared_.platform)) {
+    (void)platform::parse(shared_.platform, shared_.node_count());
   }
   preemptive_ = (options_.policy == Policy::kPriority ||
                  options_.policy == Policy::kFairShare) &&
@@ -467,7 +471,6 @@ bool Farm::launch_batch(std::vector<LaunchReq> batch, double now,
         eff.ckpt_vault = req.vault.get();
         eff.resume_from = req.resume;
       }
-      if (eff.platform.empty()) eff.platform = options_.platform;
       mp::RuntimeOptions rt;
       rt.recv_timeout_s = options_.recv_timeout_s;
       rt.exec_mode = options_.exec_mode;

@@ -87,13 +87,6 @@ struct FarmOptions {
   /// Execution core forwarded to every job's runtime (kDefault resolves
   /// through PSANIM_EXEC_MODE, exactly like a standalone run).
   mp::ExecMode exec_mode = mp::ExecMode::kDefault;
-  /// Default topology platform (platform::parse form) for jobs whose
-  /// settings leave `platform` empty — the farm-wide fabric every tenant
-  /// runs on unless a job selects its own. Written into the job's
-  /// effective settings before launch, so standalone_run on the recorded
-  /// assignment still reproduces the job bit-for-bit only when given the
-  /// same settings. Empty = legacy flat model.
-  std::string platform;
   /// Fiber scheduler workers per concurrently-launched job. <= 0 splits
   /// the hardware budget evenly across the max_parallel_launches slots (at
   /// least one worker each) — by the cap, not by how many jobs one DES
@@ -226,8 +219,16 @@ class JobHandle {
 /// (admission-checked), start() to seal the queue and launch the driver,
 /// await handles or wait(), then read report(). run() does the last three
 /// in one call.
+///
+/// The shared spec is the farm's whole machine description: its
+/// `platform` (topology and checkpoint disk) reaches every job through
+/// assign_slots, which copies it into the job's sub_spec, where it is
+/// sized to the granted nodes exactly as a standalone run on that sub_spec
+/// would size it.
 class Farm {
  public:
+  /// Throws std::invalid_argument when the shared spec has no nodes, a
+  /// node has no CPU slot, or its platform description does not parse.
   explicit Farm(cluster::ClusterSpec shared, FarmOptions options = {});
   ~Farm();
 
@@ -360,9 +361,9 @@ class Farm {
 };
 
 /// Re-run a finished job exactly as the farm ran it, outside the farm:
-/// same sub-cluster, same placement, same settings. The returned result is
-/// bit-identical to JobResult::result — the demo and the property tests
-/// use this as the standalone oracle.
+/// same sub-cluster (platform included), same placement, same settings.
+/// The returned result is bit-identical to JobResult::result — the demo
+/// and the property tests use this as the standalone oracle.
 core::ParallelResult standalone_run(const JobSpec& spec,
                                     const Assignment& assignment,
                                     const cluster::CostModel& cost = {},

@@ -98,6 +98,7 @@ Assignment assign_slots(const cluster::ClusterSpec& shared,
   }
   a.sub_spec.preferred = shared.preferred;
   a.sub_spec.compiler = shared.compiler;
+  a.sub_spec.platform = shared.platform;
   // Ranks fill each granted node's slots in turn: rank 0 (manager) on the
   // fastest node, the image generator right after it, calculators onward.
   for (std::size_t i = 0; i < a.ranks_per_node.size(); ++i) {

@@ -99,7 +99,8 @@ double estimate_virtual_cost(const JobSpec& spec);
 /// The slots a job was granted: `shared_nodes[i]` is the shared-spec index
 /// of sub_spec node i, `ranks_per_node[i]` how many of the job's ranks run
 /// there. `placement` maps the job's world (manager, image generator,
-/// calculators) onto sub_spec nodes.
+/// calculators) onto sub_spec nodes. sub_spec carries the shared spec's
+/// preferred interconnect, compiler and platform.
 struct Assignment {
   std::vector<int> shared_nodes;
   std::vector<int> ranks_per_node;

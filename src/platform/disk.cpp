@@ -1,7 +1,5 @@
 #include "platform/disk.hpp"
 
-#include <cstdio>
-
 namespace psanim::platform {
 
 DiskModel DiskModel::pfs(int stripes) {
@@ -10,14 +8,6 @@ DiskModel DiskModel::pfs(int stripes) {
   // Striping multiplies sustained bandwidth; the issue latency stays (one
   // metadata round trip per operation).
   return {base.read_bps * n, base.write_bps * n, base.seek_s};
-}
-
-std::string to_string(const DiskModel& d) {
-  if (d.free()) return "disk:none";
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "disk:read=%g,write=%g,seek=%g", d.read_bps,
-                d.write_bps, d.seek_s);
-  return buf;
 }
 
 }  // namespace psanim::platform

@@ -14,11 +14,10 @@
 //     read(bytes)  = seek + bytes / read_bandwidth
 //
 // The default model is free (all fields zero), so existing runs — and the
-// golden determinism corpus — are bit-identical unless a platform or a
-// CkptPolicy opts into a real disk.
+// golden determinism corpus — are bit-identical unless the cluster spec's
+// platform description opts into a real disk with a `;disk:` clause.
 
 #include <cstddef>
-#include <string>
 
 namespace psanim::platform {
 
@@ -58,7 +57,5 @@ struct DiskModel {
   /// Striped parallel filesystem: `stripes` scratch disks in parallel.
   static DiskModel pfs(int stripes);
 };
-
-std::string to_string(const DiskModel& d);
 
 }  // namespace psanim::platform

@@ -1,6 +1,7 @@
 #include "platform/parse.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <stdexcept>
@@ -26,18 +27,26 @@ std::string preset_list() {
 double to_double(const std::string& key, const std::string& v) {
   char* end = nullptr;
   const double d = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0') {
-    fail("'" + key + "' expects a number, got '" + v + "'");
+  // Non-finite values are refused: describe() could not write them back.
+  if (end == v.c_str() || *end != '\0' || !std::isfinite(d)) {
+    fail("'" + key + "' expects a finite number, got '" + v + "'");
   }
   return d;
 }
 
-std::size_t to_size(const std::string& key, const std::string& v) {
-  const double d = to_double(key, v);
-  if (d < 0.0 || d != static_cast<double>(static_cast<std::size_t>(d))) {
-    fail("'" + key + "' expects a non-negative integer, got '" + v + "'");
+/// `d` as a count, range-checked before the cast so an absurd value is an
+/// error rather than undefined behaviour or a huge allocation.
+std::size_t size_from(const std::string& key, double d) {
+  if (!(d >= 0.0 && d <= static_cast<double>(kMaxLinks)) ||
+      d != std::floor(d)) {
+    fail("'" + key + "' expects an integer in [0, " +
+         std::to_string(kMaxLinks) + "]");
   }
   return static_cast<std::size_t>(d);
+}
+
+std::size_t to_size(const std::string& key, const std::string& v) {
+  return size_from(key, to_double(key, v));
 }
 
 net::Interconnect interconnect_from(const std::string& s) {
@@ -148,13 +157,11 @@ Platform parse_dsl_topo(const std::string& kind, const std::string& body,
                         std::size_t nodes) {
   const KvList kvs = split_kv(body, kind);
   Link host = link_from(net::Interconnect::kFastEthernet);
-  bool host_touched = false;
   auto common = [&](const std::string& k, const std::string& v) {
     if (k == "link") { host = link_from(interconnect_from(v)); }
     else if (k == "bw") { host.bandwidth_bps = to_double(k, v); }
     else if (k == "latency") { host.latency_s = to_double(k, v); }
     else return false;
-    host_touched = true;
     return true;
   };
 
@@ -237,9 +244,7 @@ Platform parse_dsl_topo(const std::string& kind, const std::string& body,
       sites.push_back(Platform::crossbar(take, host));
       left -= take;
     }
-    Platform p = Platform::wan(std::move(sites), wan);
-    (void)host_touched;
-    return p;
+    return Platform::wan(std::move(sites), wan);
   }
   fail("unknown topology kind '" + kind +
        "' (expected crossbar, fattree, dragonfly or wan; presets: " +
@@ -250,6 +255,8 @@ Platform parse_dsl_topo(const std::string& kind, const std::string& body,
 
 // Minimal recursive-descent parser for the JSON Platform::describe()
 // emits (objects, arrays, strings without escapes, numbers, booleans).
+// Nesting is capped well above describe()'s depth of five, so a hostile
+// description cannot exhaust the stack.
 struct Json {
   enum class Type { kNull, kBool, kNum, kStr, kArr, kObj };
   Type type = Type::kNull;
@@ -273,6 +280,9 @@ struct Json {
     if (j.type != Type::kNum) fail("JSON key '" + key + "' is not a number");
     return j.num;
   }
+  std::size_t as_size(const std::string& key) const {
+    return size_from(key, as_num(key));
+  }
   const std::string& as_str(const std::string& key) const {
     const Json& j = at(key);
     if (j.type != Type::kStr) fail("JSON key '" + key + "' is not a string");
@@ -281,8 +291,10 @@ struct Json {
 };
 
 struct JsonParser {
+  static constexpr int kMaxDepth = 32;
   const std::string& s;
   std::size_t pos = 0;
+  int depth = 0;
 
   void skip_ws() {
     while (pos < s.size() &&
@@ -305,8 +317,16 @@ struct JsonParser {
 
   Json parse_value() {
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth == kMaxDepth) {
+        fail("JSON: nesting deeper than " + std::to_string(kMaxDepth) +
+             " levels");
+      }
+      ++depth;
+      Json j = c == '{' ? parse_object() : parse_array();
+      --depth;
+      return j;
+    }
     if (c == '"') return parse_string();
     if (c == 't' || c == 'f') return parse_bool();
     return parse_number();
@@ -390,23 +410,21 @@ Link json_link(const Json& j) {
 
 Platform json_leaf(const Json& z) {
   const std::string& kind = z.as_str("kind");
-  const auto n = static_cast<std::size_t>(z.as_num("nodes"));
+  const std::size_t n = z.as_size("nodes");
   const Link host = json_link(z.at("link"));
   if (kind == "crossbar") {
     return Platform::crossbar(n, host, z.as_num("backplane_bps"));
   }
   if (kind == "fattree") {
-    return Platform::fat_tree(
-        n, static_cast<std::size_t>(z.as_num("hosts_per_edge")),
-        static_cast<std::size_t>(z.as_num("uplinks")), host,
-        json_link(z.at("uplink")));
+    return Platform::fat_tree(n, z.as_size("hosts_per_edge"),
+                              z.as_size("uplinks"), host,
+                              json_link(z.at("uplink")));
   }
   if (kind == "dragonfly") {
-    return Platform::dragonfly(
-        n, static_cast<std::size_t>(z.as_num("groups")),
-        static_cast<std::size_t>(z.as_num("routers")),
-        static_cast<std::size_t>(z.as_num("hosts_per_router")), host,
-        json_link(z.at("local")), json_link(z.at("global")));
+    return Platform::dragonfly(n, z.as_size("groups"), z.as_size("routers"),
+                               z.as_size("hosts_per_router"), host,
+                               json_link(z.at("local")),
+                               json_link(z.at("global")));
   }
   fail("JSON zone kind '" + kind + "' is not a leaf topology");
 }

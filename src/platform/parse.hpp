@@ -1,8 +1,9 @@
 #pragma once
 
-// Platform description loader: turns a string into a Platform so cluster
-// specs, SimSettings, the farm, and the benches can all select platforms
-// by name instead of hand-assembling zone trees.
+// Platform description loader: turns a cluster spec's platform string
+// into a Platform, so specs (and through them run_parallel, the farm and
+// the benches) select platforms by name instead of hand-assembling zone
+// trees.
 //
 // Three description forms are accepted:
 //
@@ -42,8 +43,9 @@ std::vector<std::string> preset_names();
 /// Presets and DSL topologies are auto-sized to exactly `nodes`; a JSON
 /// description carries its own size, which must cover `nodes`. Throws
 /// std::invalid_argument (message prefixed "platform:") for unknown
-/// names, malformed descriptions, or platforms too small — the message
-/// lists the valid presets so a typo is actionable.
+/// names, malformed descriptions, platforms too small, or sizes beyond
+/// kMaxNodes/kMaxLinks — the message lists the valid presets so a typo is
+/// actionable.
 Platform parse(const std::string& desc, std::size_t nodes);
 
 }  // namespace psanim::platform

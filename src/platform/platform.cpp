@@ -21,6 +21,22 @@ std::string link_json(const Link& l) {
          ",\"shared\":" + (l.shared ? "true" : "false") + "}";
 }
 
+/// Reject a `kind` platform of `nodes` nodes and `links` links beyond the
+/// size budget, before anything is built. Counts arrive as doubles so the
+/// products that form them cannot overflow.
+void check_budget(const char* kind, double nodes, double links) {
+  if (nodes > static_cast<double>(kMaxNodes) ||
+      links > static_cast<double>(kMaxLinks)) {
+    throw std::invalid_argument(
+        std::string("platform: ") + kind + " of " + fmt(nodes) +
+        " nodes and " + fmt(links) +
+        " links exceeds the size budget (" + std::to_string(kMaxNodes) +
+        " nodes, " + std::to_string(kMaxLinks) + " links)");
+  }
+}
+
+double as_count(std::size_t n) { return static_cast<double>(n); }
+
 /// Unordered-pair index for dragonfly global links, i < j among g groups.
 std::size_t pair_index(std::size_t i, std::size_t j, std::size_t g) {
   if (i > j) std::swap(i, j);
@@ -44,6 +60,7 @@ Platform Platform::crossbar(std::size_t n, const Link& host,
   if (n == 0) {
     throw std::invalid_argument("platform: crossbar needs at least one node");
   }
+  check_budget("crossbar", as_count(n), as_count(n) + 1);
   Platform p;
   p.name = "crossbar";
   p.root.kind = ZoneKind::kCrossbar;
@@ -74,6 +91,9 @@ Platform Platform::fat_tree(std::size_t n, std::size_t hosts_per_edge,
         "platform: fat-tree needs nodes >= 1, hosts_per_edge >= 1 and "
         "uplinks >= 1");
   }
+  const std::size_t edges = (n + hosts_per_edge - 1) / hosts_per_edge;
+  check_budget("fat-tree", as_count(n),
+               as_count(n) + as_count(edges) * as_count(uplinks));
   Platform p;
   p.name = "fattree";
   p.root.kind = ZoneKind::kFatTree;
@@ -86,7 +106,6 @@ Platform Platform::fat_tree(std::size_t n, std::size_t hosts_per_edge,
     p.root.host_links.push_back(static_cast<LinkId>(p.links.size()));
     p.links.push_back(std::move(l));
   }
-  const std::size_t edges = (n + hosts_per_edge - 1) / hosts_per_edge;
   for (std::size_t e = 0; e < edges; ++e) {
     for (std::size_t u = 0; u < uplinks; ++u) {
       Link l = up;
@@ -102,12 +121,16 @@ Platform Platform::dragonfly(std::size_t n, std::size_t groups,
                              std::size_t routers,
                              std::size_t hosts_per_router, const Link& term,
                              const Link& local, const Link& global) {
-  if (n == 0 || groups == 0 || routers == 0 || hosts_per_router == 0) {
+  if (n == 0 || groups < 2 || routers == 0 || hosts_per_router == 0) {
     throw std::invalid_argument(
-        "platform: dragonfly needs nodes, groups, routers and "
-        "hosts_per_router all >= 1");
+        "platform: dragonfly needs nodes, routers and hosts_per_router "
+        ">= 1 and groups >= 2 (one group has no global links; use a "
+        "fattree)");
   }
-  if (groups * routers * hosts_per_router < n) {
+  const double g = as_count(groups);
+  check_budget("dragonfly", as_count(n),
+               as_count(n) + g * as_count(routers) + g * (g - 1) / 2);
+  if (g * as_count(routers) * as_count(hosts_per_router) < as_count(n)) {
     throw std::invalid_argument(
         "platform: dragonfly " + std::to_string(groups) + "x" +
         std::to_string(routers) + "x" + std::to_string(hosts_per_router) +
@@ -150,6 +173,12 @@ Platform Platform::wan(std::vector<Platform> sites, const Link& wan_link) {
   if (sites.empty()) {
     throw std::invalid_argument("platform: wan needs at least one site");
   }
+  double nodes = 0, links = 0;
+  for (const Platform& site : sites) {
+    nodes += as_count(site.node_count());
+    links += as_count(site.link_count() + 1);
+  }
+  check_budget("wan", nodes, links);
   Platform p;
   p.name = "wan";
   p.root.kind = ZoneKind::kWan;
@@ -177,11 +206,6 @@ Platform Platform::wan(std::vector<Platform> sites, const Link& wan_link) {
     p.links.push_back(std::move(ul));
     p.root.nodes += child.nodes;
     p.root.children.push_back(std::move(child));
-  }
-  // The sites' disks win per node; an explicit platform-level disk can be
-  // set by the caller afterwards.
-  for (const Zone& child : p.root.children) {
-    (void)child;
   }
   return p;
 }
@@ -318,12 +342,11 @@ void Platform::route(std::size_t src, std::size_t dst,
 }
 
 Platform::Wire Platform::wire(std::size_t src, std::size_t dst) const {
-  Wire w;
   if (src == dst) {
-    w.src_kind = w.dst_kind = net::Interconnect::kLoopback;
-    w.bottleneck_bps = 0.0;
-    return w;
+    const auto lb = net::LinkModel::loopback();
+    return {lb.latency_s, lb.bandwidth_bps, lb.kind, lb.kind};
   }
+  Wire w;
   std::vector<LinkId> r;
   route(src, dst, r);
   for (const LinkId id : r) {

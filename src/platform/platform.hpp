@@ -27,6 +27,7 @@
 // `cluster::ClusterSpec` node indices; a platform must be built for at
 // least as many nodes as the spec it serves.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,6 +39,12 @@ namespace psanim::platform {
 
 using LinkId = std::uint32_t;
 inline constexpr LinkId kNoLink = 0xffffffffu;
+
+/// Size budget every builder enforces (std::invalid_argument beyond it),
+/// so no description, however absurd its counts, can ask for an
+/// unbounded allocation.
+inline constexpr std::size_t kMaxNodes = std::size_t{1} << 16;
+inline constexpr std::size_t kMaxLinks = std::size_t{1} << 20;
 
 /// One physical link. `shared = true` links are fluid resources —
 /// concurrent transfers queue behind each other (see fabric.hpp);
@@ -88,17 +95,14 @@ struct Platform {
   std::string name;
   std::vector<Link> links;
   Zone root;
-  /// Default per-node storage; node_disks overrides per node when sized.
+  /// Every node's checkpoint storage (the description's `;disk:` clause);
+  /// free when the description names none.
   DiskModel disk;
-  std::vector<DiskModel> node_disks;
 
   std::size_t node_count() const { return root.nodes; }
   std::size_t link_count() const { return links.size(); }
   const Link& link(LinkId id) const {
     return links.at(static_cast<std::size_t>(id));
-  }
-  const DiskModel& disk_of(std::size_t node) const {
-    return node < node_disks.size() ? node_disks[node] : disk;
   }
 
   /// Ordered links the pair (src, dst) traverses; empty when src == dst
@@ -115,6 +119,7 @@ struct Platform {
   /// Base wire characteristics of a route: additive latency, bottleneck
   /// bandwidth, and the interconnect kinds of the two endpoint host links
   /// (the cluster layer charges per-message host CPU overhead by kind).
+  /// Same-node traffic gets the loopback link's characteristics.
   struct Wire {
     double latency_s = 0.0;
     double bottleneck_bps = 1e18;
@@ -137,7 +142,7 @@ struct Platform {
   static Platform fat_tree(std::size_t n, std::size_t hosts_per_edge,
                            std::size_t uplinks, const Link& host,
                            const Link& up);
-  /// Dragonfly: `groups` groups of `routers` routers with
+  /// Dragonfly: `groups` (>= 2) groups of `routers` routers with
   /// `hosts_per_router` hosts each; minimal routing (terminal, local,
   /// one global hop between groups).
   static Platform dragonfly(std::size_t n, std::size_t groups,

@@ -7,6 +7,7 @@
 #include "cluster/cost_model.hpp"
 #include "cluster/cpu_model.hpp"
 #include "cluster/placement.hpp"
+#include "platform/platform.hpp"
 
 namespace psanim::cluster {
 namespace {
@@ -186,6 +187,36 @@ TEST(LinkCostFn, ItaniumPairFallsBackToEthernet) {
   // Wire time must reflect Fast-Ethernet, not Myrinet, despite preference.
   const auto c = fn(0, 1, 1 << 20);
   EXPECT_GT(c.wire_s, net::LinkModel::myrinet().cost_s(1 << 20) * 5);
+}
+
+TEST(LinkCostFn, PlatformPricesRoutesButColocatedRanksStayLoopback) {
+  auto spec = ClusterSpec::homogeneous(NodeType::e800(), 2,
+                                       net::Interconnect::kMyrinet,
+                                       Compiler::kGcc);
+  Placement p;
+  p.node_of_rank = {0, 0, 1};
+  const CostModel cm;
+  platform::Link host;
+  host.kind = net::Interconnect::kFastEthernet;
+  host.latency_s = 1e-4;
+  host.bandwidth_bps = 1e7;
+  const auto plat = platform::Platform::crossbar(2, host);
+  const auto flat_fn = make_link_cost_fn(spec, p, cm);
+  const auto plat_fn = make_link_cost_fn(spec, p, cm, &plat);
+  // One route: same-node pairs are loopback with or without a platform.
+  const auto flat_local = flat_fn(0, 1, 1000);
+  const auto plat_local = plat_fn(0, 1, 1000);
+  EXPECT_EQ(plat_local.wire_s, flat_local.wire_s);
+  EXPECT_EQ(plat_local.send_cpu_s, flat_local.send_cpu_s);
+  EXPECT_EQ(plat_local.recv_cpu_s, flat_local.recv_cpu_s);
+  // Cross-node pairs follow the platform's links, not the NIC sets.
+  const auto remote = plat_fn(0, 2, 1000);
+  EXPECT_EQ(remote.wire_s, 2e-4 + 1000.0 / 1e7);
+  EXPECT_DOUBLE_EQ(
+      remote.send_cpu_s,
+      (cm.host_overhead_s(net::Interconnect::kFastEthernet) +
+       1000.0 / cm.host_bandwidth_bps(net::Interconnect::kFastEthernet)) /
+          rank_rates(spec, p, cm.smp_contention)[0]);
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
 // psanim::platform suite: zone-tree routing per topology, the fabric's
 // deterministic bandwidth-sharing arithmetic (exact doubles), the storage
 // model, the description loader (round-trip + rejection of malformed
-// descriptions), SimSettings validation of dangling platform names — and
-// the integration properties: a zone platform changes makespans but never
-// pixels, topologies separate measurably and deterministically, both
-// execution cores agree bit-for-bit, and crash-restart under a
-// disk-costed vault stays bit-identical to the fault-free run.
+// descriptions), run_parallel and Farm rejection of dangling platform
+// names — and the integration properties: a zone platform named by the
+// cluster spec changes makespans but never pixels, topologies separate
+// measurably and deterministically, both execution cores agree
+// bit-for-bit, crash-restart under a disk-costed vault stays bit-identical
+// to the fault-free run, and a farm's shared spec carries its platform to
+// every job.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "platform/fabric.hpp"
 #include "platform/parse.hpp"
 #include "platform/platform.hpp"
+#include "render/compare.hpp"
 #include "sim/run_config.hpp"
 #include "sim/scenario.hpp"
 
@@ -285,23 +289,6 @@ TEST(PlatformParse, RejectsMalformedDescriptionsActionably) {
   EXPECT_THROW((void)platform::parse(small, 8), std::invalid_argument);
 }
 
-TEST(SimSettingsValidate, RejectsDanglingPlatformNames) {
-  SimSettings s;
-  s.platform = "fatttree";  // typo
-  try {
-    s.validate();
-    FAIL() << "dangling platform name must throw";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("platform"), std::string::npos);
-    EXPECT_NE(msg.find("fatttree"), std::string::npos);
-  }
-  s.platform = "crossbar";
-  EXPECT_NO_THROW(s.validate());
-  s.platform.clear();
-  EXPECT_NO_THROW(s.validate());
-}
-
 // --- integration: platforms change time, never pixels ------------------
 
 Scene small_scene() {
@@ -323,10 +310,12 @@ SimSettings small_settings() {
 }
 
 core::ParallelResult run(const Scene& scene, const SimSettings& settings,
+                         const std::string& plat = "",
                          mp::ExecMode exec_mode = mp::ExecMode::kDefault) {
   sim::RunConfig cfg;
   cfg.groups = {{cluster::NodeType::e800(), settings.ncalc, settings.ncalc}};
   cfg.network = net::Interconnect::kMyrinet;
+  cfg.platform = plat;
   const auto built = sim::build_cluster(cfg);
   return core::run_parallel(scene, settings, built.spec, built.placement, {},
                             mp::RuntimeOptions{.recv_timeout_s = 15.0,
@@ -343,9 +332,7 @@ TEST(PlatformIntegration, ZonePlatformsShiftMakespansButNotPixels) {
   const Scene scene = small_scene();
   SimSettings settings = small_settings();
   const auto flat = run(scene, settings);
-
-  settings.platform = "crossbar";
-  const auto contended = run(scene, settings);
+  const auto contended = run(scene, settings, "crossbar");
 
   // Message content never depends on delivery time, so the animation is
   // pixel-identical — only the clocks moved.
@@ -356,35 +343,33 @@ TEST(PlatformIntegration, ZonePlatformsShiftMakespansButNotPixels) {
 
 TEST(PlatformIntegration, TopologiesSeparateMeasurablyAndDeterministically) {
   const Scene scene = small_scene();
-  SimSettings settings = small_settings();
+  const SimSettings settings = small_settings();
 
-  settings.platform = "crossbar:link=fast-ethernet";
-  const auto xbar = run(scene, settings);
-  const auto xbar2 = run(scene, settings);
+  const std::string xbar_desc = "crossbar:link=fast-ethernet";
+  const auto xbar = run(scene, settings, xbar_desc);
+  const auto xbar2 = run(scene, settings, xbar_desc);
   // Bit-identical reproduction under contention.
   EXPECT_EQ(xbar.animation_s, xbar2.animation_s);
 
   // Squeeze cross-edge traffic through one slim shared uplink per pair of
   // hosts: same hosts, same scene, measurably slower.
-  settings.platform =
-      "fattree:hosts_per_edge=2,uplinks=1,link=fast-ethernet,up_bw=11e6,"
-      "up_latency=7e-5";
-  const auto slim = run(scene, settings);
+  const auto slim = run(scene, settings,
+                        "fattree:hosts_per_edge=2,uplinks=1,link=fast-ethernet,"
+                        "up_bw=11e6,up_latency=7e-5");
   EXPECT_GT(slim.animation_s, xbar.animation_s);
   EXPECT_TRUE(same_image(slim.final_frame, xbar.final_frame));
 
   // A WAN partition pays long-haul latency on every cross-site message.
-  settings.platform = "wan:sites=2,link=fast-ethernet";
-  const auto wan = run(scene, settings);
+  const auto wan = run(scene, settings, "wan:sites=2,link=fast-ethernet");
   EXPECT_GT(wan.animation_s, xbar.animation_s);
 }
 
 TEST(PlatformIntegration, ExecutionCoresAgreeUnderContention) {
   const Scene scene = small_scene();
-  SimSettings settings = small_settings();
-  settings.platform = "fattree:hosts_per_edge=2,uplinks=1,up_bw=11e6";
-  const auto fibers = run(scene, settings, mp::ExecMode::kFibers);
-  const auto threads = run(scene, settings, mp::ExecMode::kThreads);
+  const SimSettings settings = small_settings();
+  const std::string plat = "fattree:hosts_per_edge=2,uplinks=1,up_bw=11e6";
+  const auto fibers = run(scene, settings, plat, mp::ExecMode::kFibers);
+  const auto threads = run(scene, settings, plat, mp::ExecMode::kThreads);
   EXPECT_EQ(fibers.animation_s, threads.animation_s);
   EXPECT_TRUE(same_image(fibers.final_frame, threads.final_frame));
   ASSERT_EQ(fibers.procs.size(), threads.procs.size());
@@ -398,10 +383,8 @@ TEST(PlatformIntegration, DiskCostedVaultChargesCheckpointIo) {
   const Scene scene = small_scene();
   SimSettings settings = small_settings();
   settings.ckpt.interval = 2;
-  const auto free_disk = run(scene, settings);
-
-  settings.ckpt.disk = platform::DiskModel::nfs();
-  const auto costed = run(scene, settings);
+  const auto free_disk = run(scene, settings, "crossbar");
+  const auto costed = run(scene, settings, "crossbar;disk:nfs");
   // Same pixels, strictly more virtual time: every snapshot now pays
   // seek + bytes/bandwidth on its owning rank.
   EXPECT_TRUE(same_image(free_disk.final_frame, costed.final_frame));
@@ -412,12 +395,12 @@ TEST(PlatformChaos, CrashRestartUnderDiskCostedVaultStaysBitIdentical) {
   const Scene scene = small_scene();
   SimSettings settings = small_settings();
   settings.ncalc = 3;
-  settings.platform = "crossbar;disk:scratch";
   settings.ckpt.interval = 2;
-  const auto clean = run(scene, settings);
+  const std::string plat = "crossbar;disk:scratch";
+  const auto clean = run(scene, settings, plat);
 
   settings.fault_plan.crashes = {{.calc = 1, .at_frame = 5}};
-  const auto recovered = run(scene, settings);
+  const auto recovered = run(scene, settings, plat);
 
   ASSERT_EQ(recovered.telemetry.image_frames().size(), settings.frames);
   EXPECT_TRUE(same_image(recovered.final_frame, clean.final_frame));
@@ -429,21 +412,52 @@ TEST(PlatformChaos, CrashRestartUnderDiskCostedVaultStaysBitIdentical) {
   EXPECT_GT(recovered.animation_s, clean.animation_s);
 }
 
-TEST(PlatformFarm, FarmWidePlatformDefaultAppliesToJobs) {
+TEST(PlatformSpec, RunParallelAndFarmRejectDanglingPlatformNames) {
+  const auto expect_names_typo = [](const std::function<void()>& f) {
+    try {
+      f();
+      FAIL() << "dangling platform name must throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("platform"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("fatttree"), std::string::npos) << msg;
+    }
+  };
+  const Scene scene = small_scene();
   SimSettings settings = small_settings();
-  settings.ncalc = 2;
+  settings.frames = 1;
+  expect_names_typo([&] { (void)run(scene, settings, "fatttree"); });
+  EXPECT_NO_THROW((void)run(scene, settings, "crossbar"));
+  EXPECT_NO_THROW((void)run(scene, settings, ""));
 
   auto shared = cluster::ClusterSpec::homogeneous(
       cluster::NodeType::e800(), 4, net::Interconnect::kFastEthernet,
       cluster::Compiler::kGcc);
+  shared.platform = "fatttree";  // typo
+  expect_names_typo([&] { farm::Farm f(shared); });
+  shared.platform = "crossbar";
+  EXPECT_NO_THROW(farm::Farm f(shared));
+  shared.platform.clear();
+  EXPECT_NO_THROW(farm::Farm f(shared));
+}
+
+TEST(PlatformFarm, FarmWidePlatformDefaultAppliesToJobs) {
+  SimSettings settings = small_settings();
+  settings.ncalc = 2;
+  const auto job = [&] {
+    return farm::JobSpec{.name = "job", .scene = small_scene(),
+                         .settings = settings};
+  };
 
   const auto run_farm = [&](const std::string& plat) {
+    auto shared = cluster::ClusterSpec::homogeneous(
+        cluster::NodeType::e800(), 4, net::Interconnect::kFastEthernet,
+        cluster::Compiler::kGcc);
+    shared.platform = plat;
     farm::FarmOptions opt;
-    opt.platform = plat;
     opt.recv_timeout_s = 15.0;
     farm::Farm f(shared, opt);
-    auto h = f.submit(farm::JobSpec{.name = "job", .scene = small_scene(),
-                                    .settings = settings});
+    auto h = f.submit(job());
     f.run();
     return h.await();
   };
@@ -452,9 +466,16 @@ TEST(PlatformFarm, FarmWidePlatformDefaultAppliesToJobs) {
   const auto contended = run_farm("crossbar");
   ASSERT_EQ(flat.state, farm::JobState::kDone) << flat.error;
   ASSERT_EQ(contended.state, farm::JobState::kDone) << contended.error;
-  // The platform stretches the job's virtual makespan but not its output.
+  // The shared spec's platform reaches the job: it stretches the job's
+  // virtual makespan but not its output.
+  EXPECT_EQ(contended.assignment.sub_spec.platform, "crossbar");
   EXPECT_EQ(flat.fb_hash, contended.fb_hash);
   EXPECT_NE(flat.standalone_makespan_s, contended.standalone_makespan_s);
+
+  // The recorded assignment alone reproduces the platform job.
+  const auto oracle = farm::standalone_run(job(), contended.assignment);
+  EXPECT_EQ(render::hash_framebuffer(oracle.final_frame), contended.fb_hash);
+  EXPECT_EQ(oracle.animation_s, contended.standalone_makespan_s);
 }
 
 }  // namespace

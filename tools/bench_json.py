@@ -8,7 +8,7 @@ The file's "schema" field selects the rule set:
 
 psanim-bench-pr4-v1 (bench/wallclock_suite) — see below.
 
-psanim-bench-pr7-v1 (bench/rank_scaling --out, superseded by pr8):
+psanim-bench-pr8-v1 (bench/rank_scaling --out):
   - every rank-scaling row of one world size must report a bit-identical
     virtual makespan (scheduling is a wall-clock knob, never a result
     knob);
@@ -16,10 +16,7 @@ psanim-bench-pr7-v1 (bench/rank_scaling --out, superseded by pr8):
     makespans (deterministic contention), all legs must share one
     framebuffer hash (topology shifts clocks, never pixels), and the slim
     fat-tree leg must separate from the flat leg (the contention model
-    actually bites).
-
-psanim-bench-pr8-v1 (bench/rank_scaling --out) — all pr7 rules, plus the
-observability gates:
+    actually bites);
   - every platform-sweep leg carries its critical-path decomposition
     (cp_compute_s + cp_wire_s must cover cp_makespan_s — the trace
     makespan, which itself must not undercut the animation finish — and
@@ -38,23 +35,20 @@ psanim-bench-pr8-farm-v1 (bench/farm_throughput --out):
     sjf_le_fifo_makespan true (the scheduling win the bench itself
     asserts, re-checked from the artifact).
 
-psanim-bench-pr9-farm-v1 (bench/farm_arrivals --out, superseded by pr10):
-  - every leg (fifo, priority, priority_rerun, fair_share) drained the
-    whole job stream with zero failures, sane SLO percentiles overall and
-    per tenant; every leg actually sampled both tenants (a leg with zero
+psanim-bench-pr10-farm-v1 (bench/farm_arrivals --out):
+  - every leg (fifo, priority, priority_rerun, fair_share, backfill,
+    backfill_costaware, backfill_costaware_rerun) drained the whole job
+    stream with zero failures, sane SLO percentiles overall and per
+    tenant; every leg actually sampled both tenants (a leg with zero
     interactive jobs fails loudly — its latency gates would otherwise
     pass vacuously);
-  - both preemptive legs report preemption_events > 0 (the eviction path
-    ran) while FIFO reports exactly 0;
+  - every preemptive leg reports preemption_events > 0 (the eviction
+    path ran) while FIFO reports exactly 0;
   - the headline gate: the interactive tenant's p99 wait under preemptive
     priority sits strictly below its FIFO p99 wait;
   - the priority and priority_rerun legs match field-for-field as literal
     JSON strings (the preemptive DES is deterministic);
-  - fair_share delivered nonzero rank-seconds to both tenants.
-
-psanim-bench-pr10-farm-v1 (bench/farm_arrivals --out) — all pr9 rules
-over the extended leg set (+ backfill, backfill_costaware,
-backfill_costaware_rerun), plus the backfill gates:
+  - fair_share delivered nonzero rank-seconds to both tenants;
   - the backfill leg's makespan stretch over FIFO sits at or below 1.3x
     (EASY backfill repairs the ~2.6x cost of strict head-of-line
     reservation), with the FIFO makespan guarded nonzero so the ratio is
@@ -98,10 +92,8 @@ import json
 import sys
 
 SCHEMA = "psanim-bench-pr4-v1"
-SCHEMA_PR7 = "psanim-bench-pr7-v1"
 SCHEMA_PR8 = "psanim-bench-pr8-v1"
 SCHEMA_PR8_FARM = "psanim-bench-pr8-farm-v1"
-SCHEMA_PR9_FARM = "psanim-bench-pr9-farm-v1"
 SCHEMA_PR10_FARM = "psanim-bench-pr10-farm-v1"
 
 _failures = []
@@ -222,7 +214,9 @@ def check_baseline(doc, base):
             ok(f"scene {name}: makespan matches baseline ({a})")
 
 
-def check_pr7(doc, baseline=None):
+def _check_scaling_and_sweep(doc, baseline=None):
+    """The rank-scaling and platform-sweep rules of pr8 (see the module
+    docstring), plus the --baseline makespan comparison."""
     rows = doc.get("rank_scaling", [])
     if not rows:
         fail("no rank_scaling section")
@@ -318,7 +312,7 @@ def _percentiles_sane(tag, block, kind="seconds"):
 
 
 def check_pr8(doc, baseline=None):
-    check_pr7(doc, baseline)
+    _check_scaling_and_sweep(doc, baseline)
 
     for r in doc.get("platform_sweep", []):
         name = r.get("platform", "<unnamed>")
@@ -401,7 +395,7 @@ _RERUN_FIELDS = ("makespan_s", "wait_p50_s", "wait_p95_s", "wait_p99_s",
 
 
 def _check_arrival_legs(doc, required):
-    """Per-leg checks shared by the pr9 and pr10 arrival-stream schemas.
+    """Per-leg checks of the pr10 arrival-stream schema.
 
     Returns the legs dict, or None when the document is too malformed to
     gate. Every leg must have drained the full stream, carry sane SLO
@@ -461,8 +455,8 @@ def _tenant_p99(legs, leg, tenant):
 
 
 def _check_preemption_and_rerun(legs, preemptive, rerun_pairs):
-    """The preemption-exercised and rerun-identity gates shared by pr9 and
-    pr10: every preemptive leg evicted, FIFO never did, and each
+    """The preemption-exercised and rerun-identity gates: every preemptive
+    leg evicted, FIFO never did, and each
     (leg, leg_rerun) pair matches field-for-field as literal JSON strings
     (parse_float=str makes that bit-exact determinism)."""
     for name in preemptive:
@@ -504,18 +498,6 @@ def _check_fair_share_service(legs):
         if float(ranks.get(tenant, "0")) <= 0.0:
             fail(f"fair_share: tenant {tenant} received no service "
                  f"(tenant_rank_s missing or zero)")
-
-
-def check_pr9_farm(doc):
-    legs = _check_arrival_legs(
-        doc, ("fifo", "priority", "priority_rerun", "fair_share"))
-    if legs is None:
-        return
-    _check_preemption_and_rerun(
-        legs, preemptive=("priority", "fair_share"),
-        rerun_pairs=[("priority", "priority_rerun", ())])
-    _check_headline_interactive(legs)
-    _check_fair_share_service(legs)
 
 
 def check_pr10_farm(doc):
@@ -593,20 +575,13 @@ def main():
     args = ap.parse_args()
 
     doc = load(args.file)
-    dispatch = {SCHEMA_PR7: check_pr7, SCHEMA_PR8: check_pr8}
-    if doc.get("schema") in dispatch:
-        dispatch[doc.get("schema")](
-            doc, load(args.baseline) if args.baseline else None)
+    if doc.get("schema") == SCHEMA_PR8:
+        check_pr8(doc, load(args.baseline) if args.baseline else None)
         print(f"\n{args.file}: {len(_failures)} failure(s), "
               f"{len(_warnings)} warning(s)")
         return 1 if _failures else 0
     if doc.get("schema") == SCHEMA_PR8_FARM:
         check_pr8_farm(doc)
-        print(f"\n{args.file}: {len(_failures)} failure(s), "
-              f"{len(_warnings)} warning(s)")
-        return 1 if _failures else 0
-    if doc.get("schema") == SCHEMA_PR9_FARM:
-        check_pr9_farm(doc)
         print(f"\n{args.file}: {len(_failures)} failure(s), "
               f"{len(_warnings)} warning(s)")
         return 1 if _failures else 0

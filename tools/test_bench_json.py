@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Unit tests for bench_json.py on synthetic artifacts.
 
-The regression these pin down: check_pr9_farm used to pass vacuously when
-a leg sampled zero interactive jobs (the tenant loop skipped the empty
-block, the KeyError path never fired for a present-but-empty dict), and a
-degenerate zero-makespan FIFO leg would have turned the pr10 stretch gate
-into a divide-by-zero. Both must fail *loudly* — nonzero exit with a
-diagnostic — never crash, never silently pass.
+The regression these pin down: the arrival-stream checker used to pass
+vacuously when a leg sampled zero interactive jobs (the tenant loop
+skipped the empty block, the KeyError path never fired for a
+present-but-empty dict), and a degenerate zero-makespan FIFO leg would
+have turned the pr10 stretch gate into a divide-by-zero. Both must fail
+*loudly* — nonzero exit with a diagnostic — never crash, never silently
+pass. Retired schemas no bench emits any more must be refused, not
+half-checked.
 
 Runs the checker as a subprocess (its failure tally is module-global
 state, so each check gets a fresh interpreter). Stdlib only; invoked by
@@ -46,10 +48,12 @@ def leg(makespan, *, preempted=0, events=0, backfilled=0,
     }
 
 
-def pr9_doc():
+def pr10_doc():
     prio = leg(10.4, preempted=19, events=22)
+    bfc = leg(5.2, preempted=12, events=20, backfilled=7,
+              interactive_p99=0.009)
     return {
-        "schema": "psanim-bench-pr9-farm-v1",
+        "schema": "psanim-bench-pr10-farm-v1",
         "mode": "quick", "jobs": 100, "slots": 32,
         "interarrival_mean_s": 0.001,
         "legs": {
@@ -57,20 +61,12 @@ def pr9_doc():
             "priority": prio,
             "priority_rerun": copy.deepcopy(prio),
             "fair_share": leg(10.4, preempted=19, events=22),
+            "backfill": leg(5.0, preempted=18, events=22, backfilled=2,
+                            interactive_p99=0.01),
+            "backfill_costaware": bfc,
+            "backfill_costaware_rerun": copy.deepcopy(bfc),
         },
     }
-
-
-def pr10_doc():
-    doc = pr9_doc()
-    doc["schema"] = "psanim-bench-pr10-farm-v1"
-    bfc = leg(5.2, preempted=12, events=20, backfilled=7,
-              interactive_p99=0.009)
-    doc["legs"]["backfill"] = leg(5.0, preempted=18, events=22, backfilled=2,
-                                  interactive_p99=0.01)
-    doc["legs"]["backfill_costaware"] = bfc
-    doc["legs"]["backfill_costaware_rerun"] = copy.deepcopy(bfc)
-    return doc
 
 
 class BenchJsonCheck(unittest.TestCase):
@@ -93,22 +89,24 @@ class BenchJsonCheck(unittest.TestCase):
         # Loud means a diagnostic, not a traceback.
         self.assertNotIn("Traceback", r.stderr, r.stderr)
 
-    def test_valid_pr9_passes(self):
-        r = self.run_check(pr9_doc())
-        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-
     def test_valid_pr10_passes(self):
         r = self.run_check(pr10_doc())
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
 
-    def test_pr9_zero_interactive_jobs_fails_loudly(self):
-        doc = pr9_doc()
+    def test_retired_schemas_are_refused(self):
+        for schema in ("psanim-bench-pr7-v1", "psanim-bench-pr9-farm-v1"):
+            doc = pr10_doc()
+            doc["schema"] = schema
+            self.assert_fails(doc, "schema")
+
+    def test_pr10_zero_interactive_jobs_fails_loudly(self):
+        doc = pr10_doc()
         doc["legs"]["priority"]["tenants"]["interactive"]["jobs"] = 0
         doc["legs"]["priority_rerun"]["tenants"]["interactive"]["jobs"] = 0
         self.assert_fails(doc, "zero interactive jobs")
 
-    def test_pr9_missing_interactive_block_fails_loudly(self):
-        doc = pr9_doc()
+    def test_pr10_missing_interactive_block_fails_loudly(self):
+        doc = pr10_doc()
         for name in ("priority", "priority_rerun"):
             del doc["legs"][name]["tenants"]["interactive"]
         self.assert_fails(doc, "zero interactive jobs")
