@@ -159,6 +159,22 @@ void BM_PackVertices(benchmark::State& state) {
 }
 BENCHMARK(BM_PackVertices)->Arg(1 << 12)->Arg(1 << 16);
 
+// What the calculator sends each frame: the same payload packed straight
+// from the store slices, with no snapshot or RenderVertex copy first.
+void BM_PackVerticesFromStores(benchmark::State& state) {
+  std::vector<psys::SlicedStore> stores;
+  stores.emplace_back(0, -10.0f, 10.0f, 8);
+  stores.back().insert_batch(
+      make_particles(static_cast<std::size_t>(state.range(0))));
+  for (auto _ : state) {
+    auto w = core::encode_frame_vertices(
+        0, std::span<const psys::SlicedStore>(stores));
+    benchmark::DoNotOptimize(w.size());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PackVerticesFromStores)->Arg(1 << 12)->Arg(1 << 16);
+
 void BM_ExchangeRoundTrip(benchmark::State& state) {
   const auto parts = make_particles(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {

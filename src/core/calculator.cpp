@@ -554,23 +554,24 @@ void Calculator::send_frame(mp::Endpoint& ep, std::uint32_t frame,
   // deeper window, gather wire time overlaps the next frame's compute.
   if (frame - epoch_start_ >= 2) recv_p(ep, kImageGenRank, kTagFrameAck);
   if (set_.imgen == ImageGenMode::kGatherParticles) {
-    std::vector<RenderVertex> verts;
-    for (auto& store : stores_) {
-      const auto parts = store.snapshot();
-      verts.reserve(verts.size() + parts.size());
-      for (const auto& p : parts) verts.push_back(to_render_vertex(p));
-    }
-    charge_particles(ep, env_.cost->pack_cost, verts.size());
-    ep.send(kImageGenRank, kTagFrame, encode_frame_vertices(frame, verts));
+    std::size_t held = 0;
+    for (const auto& store : stores_) held += store.size();
+    charge_particles(ep, env_.cost->pack_cost, held);
+    ep.send(kImageGenRank, kTagFrame,
+            encode_frame_vertices(
+                frame, std::span<const psys::SlicedStore>(stores_)));
   } else {
     // Sort-last (§6 extension): rasterize locally, ship the partial image.
+    // Slices are splatted in place, in snapshot order, so the additive
+    // blend sums in the same order.
     render::Framebuffer fb(set_.image_width, set_.image_height);
     std::size_t rendered = 0;
-    for (auto& store : stores_) {
-      const auto parts = store.snapshot();
-      splat_points(fb, cam_, std::span<const psys::Particle>(parts),
-                   render::BlendMode::kAdditive);
-      rendered += parts.size();
+    for (const auto& store : stores_) {
+      for (const auto& slice : store.raw_slices()) {
+        splat_points(fb, cam_, std::span<const psys::Particle>(slice),
+                     render::BlendMode::kAdditive);
+        rendered += slice.size();
+      }
     }
     charge_particles(ep, env_.cost->render_cost, rendered);
     mp::Writer w;

@@ -85,9 +85,12 @@ void ImageGenerator::run(mp::Endpoint& ep) {
         const mp::Message m =
             ep.recv_within(calc_rank(c), kTagFrame, set_.phase_timeout_s);
         is.gather_bytes += m.wire_bytes();
-        const auto verts = decode_frame_vertices(m, frame);
-        splat_points(fb_, cam_, std::span<const RenderVertex>(verts),
-                     render::BlendMode::kAdditive);
+        // Splat straight from the payload, one stack-sized chunk at a
+        // time, in payload order (the additive blend sums in that order).
+        const FrameVertexView verts(m, frame);
+        verts.for_each_chunk([&](std::span<const RenderVertex> chunk) {
+          splat_points(fb_, cam_, chunk, render::BlendMode::kAdditive);
+        });
         ep.charge(env_.cost->compute_s(env_.cost->render_cost, verts.size(),
                                        env_.rate));
         is.particles_rendered += verts.size();

@@ -303,10 +303,11 @@ SequentialResult run_sequential(const Scene& scene,
         34 * std::max(settings.image_width, settings.image_height));
     clock += cost.compute_s(cost.render_cost, px, rate);
     std::size_t rendered = 0;
-    for (auto& store : stores) {
-      const auto parts = store.snapshot();
-      render::splat_particles(fb, cam, parts, render::BlendMode::kAdditive);
-      rendered += parts.size();
+    for (const auto& store : stores) {
+      for (const auto& slice : store.raw_slices()) {
+        render::splat_particles(fb, cam, slice, render::BlendMode::kAdditive);
+        rendered += slice.size();
+      }
     }
     clock += cost.compute_s(cost.render_cost, rendered, rate);
   }

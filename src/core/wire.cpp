@@ -1,5 +1,7 @@
 #include "core/wire.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
 
@@ -34,7 +36,10 @@ RenderVertex to_render_vertex(const psys::Particle& p) {
 
 namespace {
 std::uint8_t quantize01(float v) {
-  const float c = v < 0 ? 0.0f : (v > 1 ? 1.0f : v);
+  // NaN fails `v > 0` and maps to 0 like every non-positive input; the
+  // float-to-uint8 cast below is undefined for anything outside [0, 256).
+  const float lo = v > 0.0f ? v : 0.0f;
+  const float c = lo < 1.0f ? lo : 1.0f;
   return static_cast<std::uint8_t>(c * 255.0f + 0.5f);
 }
 }  // namespace
@@ -153,47 +158,99 @@ std::vector<EdgeEntry> decode_edges(const mp::Message& m,
   return r.get_vector<EdgeEntry>();
 }
 
+namespace {
+
+const RenderVertex& as_render_vertex(const RenderVertex& v) { return v; }
+RenderVertex as_render_vertex(const psys::Particle& p) {
+  return to_render_vertex(p);
+}
+
+/// Frame header plus the vertex count, then room for `n` packed records;
+/// returns where the records start.
+std::byte* begin_frame_vertices(mp::Writer& w, std::uint32_t frame,
+                                std::size_t n) {
+  w.reserve(2 + sizeof(frame) + sizeof(std::uint64_t) +
+            n * sizeof(PackedVertex));
+  put_control_header(w);
+  w.put(frame);
+  w.put<std::uint64_t>(n);
+  return w.alloc(n * sizeof(PackedVertex));
+}
+
+/// The one pack loop: records go straight into the payload. memcpy keeps
+/// the write legal at any alignment (the 14-byte header leaves the array
+/// unaligned). Returns the end of what was written.
+template <typename V>
+std::byte* pack_vertices(std::byte* out, std::span<const V> items) {
+  for (const V& item : items) {
+    const PackedVertex p = pack_vertex(as_render_vertex(item));
+    std::memcpy(out, &p, sizeof(PackedVertex));
+    out += sizeof(PackedVertex);
+  }
+  return out;
+}
+
+}  // namespace
+
 mp::Writer encode_frame_vertices(std::uint32_t frame,
                                  const std::vector<RenderVertex>& verts) {
   mp::Writer w;
-  w.reserve(2 + sizeof(frame) + sizeof(std::uint64_t) +
-            verts.size() * sizeof(PackedVertex));
-  put_control_header(w);
-  w.put(frame);
-  // Pack straight into the payload: the former intermediate
-  // vector<PackedVertex> cost an allocation plus a second full copy per
-  // frame per calculator. memcpy keeps the write legal at any alignment
-  // (the 14-byte header leaves the array unaligned).
-  w.put<std::uint64_t>(verts.size());
-  std::byte* out = w.alloc(verts.size() * sizeof(PackedVertex));
-  for (std::size_t i = 0; i < verts.size(); ++i) {
-    const PackedVertex p = pack_vertex(verts[i]);
-    std::memcpy(out + i * sizeof(PackedVertex), &p, sizeof(PackedVertex));
+  pack_vertices(begin_frame_vertices(w, frame, verts.size()),
+                std::span<const RenderVertex>(verts));
+  return w;
+}
+
+mp::Writer encode_frame_vertices(std::uint32_t frame,
+                                 std::span<const psys::SlicedStore> stores) {
+  std::size_t n = 0;
+  for (const auto& store : stores) n += store.size();
+  mp::Writer w;
+  std::byte* out = begin_frame_vertices(w, frame, n);
+  for (const auto& store : stores) {
+    for (const auto& slice : store.raw_slices()) {
+      out = pack_vertices(out, std::span<const psys::Particle>(slice));
+    }
   }
   return w;
 }
 
-std::vector<RenderVertex> decode_frame_vertices(const mp::Message& m,
-                                                std::uint32_t expect_frame) {
+FrameVertexView::FrameVertexView(const mp::Message& m,
+                                 std::uint32_t expect_frame) {
   mp::Reader r(m);
   check_control_header(r, "decode_frame_vertices");
   check_frame(r.get<std::uint32_t>(), expect_frame, "decode_frame_vertices");
-  // Unpack straight out of the payload (no intermediate packed vector).
   const auto n = r.get<std::uint64_t>();
   if (n > r.remaining() / sizeof(PackedVertex)) {
     throw mp::DecodeError(
         "decode_frame_vertices: vertex count exceeds payload");
   }
-  const std::span<const std::byte> raw =
-      r.raw(static_cast<std::size_t>(n) * sizeof(PackedVertex));
-  std::vector<RenderVertex> verts;
-  verts.reserve(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    PackedVertex p;
-    std::memcpy(&p, raw.data() + i * sizeof(PackedVertex),
-                sizeof(PackedVertex));
-    verts.push_back(unpack_vertex(p));
+  records_ = r.raw(static_cast<std::size_t>(n) * sizeof(PackedVertex));
+}
+
+void FrameVertexView::for_each_chunk(
+    const std::function<void(std::span<const RenderVertex>)>& visit) const {
+  std::array<RenderVertex, kChunk> buf;
+  const std::size_t n = size();
+  for (std::size_t at = 0; at < n; at += kChunk) {
+    const std::size_t len = std::min(kChunk, n - at);
+    const std::byte* in = records_.data() + at * sizeof(PackedVertex);
+    for (std::size_t i = 0; i < len; ++i) {
+      PackedVertex p;
+      std::memcpy(&p, in + i * sizeof(PackedVertex), sizeof(PackedVertex));
+      buf[i] = unpack_vertex(p);
+    }
+    visit(std::span<const RenderVertex>(buf.data(), len));
   }
+}
+
+std::vector<RenderVertex> decode_frame_vertices(const mp::Message& m,
+                                                std::uint32_t expect_frame) {
+  const FrameVertexView view(m, expect_frame);
+  std::vector<RenderVertex> verts;
+  verts.reserve(view.size());
+  view.for_each_chunk([&](std::span<const RenderVertex> chunk) {
+    verts.insert(verts.end(), chunk.begin(), chunk.end());
+  });
   return verts;
 }
 

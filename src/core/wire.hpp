@@ -9,10 +9,13 @@
 // silently mixing frames.
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "mp/message.hpp"
 #include "psys/particle.hpp"
+#include "psys/store.hpp"
 #include "psys/system.hpp"
 
 namespace psanim::core {
@@ -139,6 +142,38 @@ std::vector<EdgeEntry> decode_edges(const mp::Message& m,
 
 mp::Writer encode_frame_vertices(std::uint32_t frame,
                                  const std::vector<RenderVertex>& verts);
+/// The calculator's frame: every particle of `stores`, packed straight
+/// from their slices (no snapshot, no RenderVertex copy) in snapshot
+/// order — stores in order, then slices, then particles. The payload is
+/// byte-identical to the vector overload fed with the snapshots.
+mp::Writer encode_frame_vertices(std::uint32_t frame,
+                                 std::span<const psys::SlicedStore> stores);
+
+/// A validated frame-vertex payload — the one place frame payloads are
+/// bounds-checked. The constructor checks the control header, the frame
+/// and the vertex count against the payload size, and throws
+/// (ProtocolError / mp::DecodeError) on any mismatch, so a visitor never
+/// sees part of a malformed frame. The view borrows the message's bytes.
+class FrameVertexView {
+ public:
+  /// Vertices unpacked per for_each_chunk() call (a stack buffer).
+  static constexpr std::size_t kChunk = 256;
+
+  FrameVertexView(const mp::Message& m, std::uint32_t expect_frame);
+  FrameVertexView(const mp::Message&&, std::uint32_t) = delete;
+
+  std::size_t size() const { return records_.size() / sizeof(PackedVertex); }
+
+  /// Unpack the vertices in payload order, at most kChunk at a time, and
+  /// hand each chunk to `visit`.
+  void for_each_chunk(
+      const std::function<void(std::span<const RenderVertex>)>& visit) const;
+
+ private:
+  std::span<const std::byte> records_;
+};
+
+/// Every vertex of a frame payload, unpacked (tests, the benchmark probe).
 std::vector<RenderVertex> decode_frame_vertices(const mp::Message& m,
                                                 std::uint32_t expect_frame);
 

@@ -4,29 +4,11 @@
 
 namespace psanim {
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) : seed_(seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
   // xoshiro must not start from the all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 0x9e3779b97f4a7c15ULL;
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::next_below(std::uint64_t n) {
@@ -40,12 +22,6 @@ std::uint64_t Rng::next_below(std::uint64_t n) {
 double Rng::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
-
-float Rng::next_float() {
-  return static_cast<float>(next_u64() >> 40) * 0x1.0p-24f;
-}
-
-float Rng::uniform(float lo, float hi) { return lo + (hi - lo) * next_float(); }
 
 float Rng::normal() {
   if (has_spare_) {
@@ -61,14 +37,6 @@ float Rng::normal() {
   spare_ = r * std::sin(theta);
   has_spare_ = true;
   return r * std::cos(theta);
-}
-
-Vec3 Rng::in_unit_ball() {
-  // Rejection sampling: expected < 2 iterations.
-  for (;;) {
-    Vec3 p{uniform(-1, 1), uniform(-1, 1), uniform(-1, 1)};
-    if (p.length2() <= 1.0f) return p;
-  }
 }
 
 Vec3 Rng::on_unit_sphere() {

@@ -45,7 +45,9 @@ constexpr std::uint64_t mix_keys(std::uint64_t a, std::uint64_t b,
 }
 
 /// xoshiro256** generator. Fast, 2^256-1 period, suitable for simulation
-/// noise (not cryptography).
+/// noise (not cryptography). The draws the per-particle samplers make
+/// (next_u64 → next_float → uniform → in_unit_ball) are defined inline so
+/// a batched sampler loop compiles without an out-of-line call per value.
 class Rng {
  public:
   /// Seeds the state by running splitmix64 over `seed`.
@@ -64,7 +66,17 @@ class Rng {
   std::uint64_t seed() const { return seed_; }
 
   /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, n). Uses Lemire's multiply-shift reduction (slightly
   /// biased for astronomically large n; fine for simulation use).
@@ -73,16 +85,24 @@ class Rng {
   /// Uniform in [0, 1).
   double next_double();
   /// Uniform float in [0, 1).
-  float next_float();
+  float next_float() {
+    return static_cast<float>(next_u64() >> 40) * 0x1.0p-24f;
+  }
   /// Uniform float in [lo, hi).
-  float uniform(float lo, float hi);
+  float uniform(float lo, float hi) { return lo + (hi - lo) * next_float(); }
   /// Standard normal via Box-Muller (one value per call; caches spare).
   float normal();
   /// Normal with given mean and standard deviation.
   float normal(float mean, float stddev) { return mean + stddev * normal(); }
 
   /// Uniform point inside the unit ball.
-  Vec3 in_unit_ball();
+  Vec3 in_unit_ball() {
+    // Rejection sampling: expected < 2 iterations.
+    for (;;) {
+      const Vec3 p{uniform(-1, 1), uniform(-1, 1), uniform(-1, 1)};
+      if (p.length2() <= 1.0f) return p;
+    }
+  }
   /// Uniform point on the unit sphere surface.
   Vec3 on_unit_sphere();
   /// Uniform point inside an axis-aligned box [lo, hi].
@@ -95,6 +115,10 @@ class Rng {
   bool bernoulli(double p) { return next_double() < p; }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   std::uint64_t seed_;
   bool has_spare_ = false;

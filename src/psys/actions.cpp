@@ -1,5 +1,7 @@
 #include "psys/actions.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -13,6 +15,18 @@ Rng& require_rng(ActionContext& ctx, const char* who) {
                                 ": ActionContext.rng must be set");
   }
   return *ctx.rng;
+}
+
+/// Particles per batched Domain query: one virtual call per chunk, with
+/// the chunk's samples or hits in a fixed-size stack buffer.
+constexpr std::size_t kDomainChunk = 256;
+
+/// Visit `ps` in consecutive chunks of at most kDomainChunk particles.
+template <typename Fn>
+void for_each_chunk(std::span<Particle> ps, Fn&& fn) {
+  for (std::size_t at = 0; at < ps.size(); at += kDomainChunk) {
+    fn(ps.subspan(at, std::min(kDomainChunk, ps.size() - at)));
+  }
 }
 }  // namespace
 
@@ -61,10 +75,19 @@ void Gravity::apply(std::span<Particle> ps, ActionContext& ctx) const {
 
 void RandomAccel::apply(std::span<Particle> ps, ActionContext& ctx) const {
   Rng& rng = require_rng(ctx, "RandomAccel");
-  for (auto& p : ps) {
-    if (p.dead()) continue;
-    p.vel += domain_->generate(rng) * ctx.dt;
-  }
+  // One sample per live particle, drawn in particle order — the same
+  // stream the per-particle generate() loop consumed.
+  std::array<Vec3, kDomainChunk> samples;
+  for_each_chunk(ps, [&](std::span<Particle> chunk) {
+    std::size_t live = 0;
+    for (const auto& p : chunk) live += p.dead() ? 0 : 1;
+    domain_->generate_n(rng, std::span<Vec3>(samples.data(), live));
+    std::size_t k = 0;
+    for (auto& p : chunk) {
+      if (p.dead()) continue;
+      p.vel += samples[k++] * ctx.dt;
+    }
+  });
 }
 
 void Damping::apply(std::span<Particle> ps, ActionContext& ctx) const {
@@ -87,18 +110,28 @@ void SpeedLimit::apply(std::span<Particle> ps, ActionContext&) const {
 }
 
 void Bounce::apply(std::span<Particle> ps, ActionContext& ctx) const {
-  for (auto& p : ps) {
-    if (p.dead()) continue;
-    // Where will the particle be after this frame's Move?
-    const Vec3 next = p.pos + p.vel * ctx.dt;
-    const SurfaceHit hit = obstacle_->surface(next);
-    if (hit.signed_distance >= 0.0f) continue;  // not penetrating
-    const float vn = p.vel.dot(hit.normal);
-    if (vn >= 0.0f) continue;  // already separating
-    const Vec3 normal_part = hit.normal * vn;
-    const Vec3 tangent_part = p.vel - normal_part;
-    p.vel = tangent_part * (1.0f - friction_) - normal_part * restitution_;
-  }
+  std::array<Vec3, kDomainChunk> next;
+  std::array<SurfaceHit, kDomainChunk> hits;
+  for_each_chunk(ps, [&](std::span<Particle> chunk) {
+    // Where will each particle be after this frame's Move? (Queried for
+    // dead particles too: surface() is pure and their hits go unused.)
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      next[i] = chunk[i].pos + chunk[i].vel * ctx.dt;
+    }
+    obstacle_->surface_n(std::span<const Vec3>(next.data(), chunk.size()),
+                         hits);
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      Particle& p = chunk[i];
+      if (p.dead()) continue;
+      const SurfaceHit& hit = hits[i];
+      if (hit.signed_distance >= 0.0f) continue;  // not penetrating
+      const float vn = p.vel.dot(hit.normal);
+      if (vn >= 0.0f) continue;  // already separating
+      const Vec3 normal_part = hit.normal * vn;
+      const Vec3 tangent_part = p.vel - normal_part;
+      p.vel = tangent_part * (1.0f - friction_) - normal_part * restitution_;
+    }
+  });
 }
 
 void Sink::apply(std::span<Particle> ps, ActionContext& ctx) const {

@@ -18,6 +18,15 @@ std::string to_string(DomainKind k) {
   return "unknown";
 }
 
+void Domain::generate_n(Rng& rng, std::span<Vec3> out) const {
+  for (Vec3& v : out) v = generate(rng);
+}
+
+void Domain::surface_n(std::span<const Vec3> points,
+                       std::span<SurfaceHit> hits) const {
+  for (std::size_t i = 0; i < points.size(); ++i) hits[i] = surface(points[i]);
+}
+
 namespace {
 
 class PointDomain final : public Domain {
@@ -108,6 +117,17 @@ class SphereDomain final : public Domain {
   Vec3 generate(Rng& rng) const override {
     return c_ + rng.in_unit_ball() * r_;
   }
+  void generate_n(Rng& rng, std::span<Vec3> out) const override {
+    // in_unit_ball() without the per-sample branch: every candidate triple
+    // is drawn in the same order and written, and only an accepted one
+    // advances the cursor — a rejected one is overwritten by the next.
+    std::size_t i = 0;
+    while (i < out.size()) {
+      const Vec3 p{rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)};
+      out[i] = c_ + p * r_;
+      i += p.length2() <= 1.0f ? 1 : 0;
+    }
+  }
   bool within(Vec3 p) const override { return (p - c_).length2() <= r_ * r_; }
   SurfaceHit surface(Vec3 p) const override {
     const Vec3 d = p - c_;
@@ -170,6 +190,12 @@ class PlaneDomain final : public Domain {
   bool within(Vec3 p) const override { return (p - p_).dot(n_) < 0.0f; }
   SurfaceHit surface(Vec3 p) const override {
     return {(p - p_).dot(n_), n_};
+  }
+  void surface_n(std::span<const Vec3> points,
+                 std::span<SurfaceHit> hits) const override {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      hits[i] = {(points[i] - p_).dot(n_), n_};
+    }
   }
   Aabb bounds() const override { return Aabb::infinite(); }
 

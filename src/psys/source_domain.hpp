@@ -8,6 +8,7 @@
 // against).
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "math/aabb.hpp"
@@ -44,12 +45,23 @@ class Domain {
   /// Uniform sample inside/on the domain.
   virtual Vec3 generate(Rng& rng) const = 0;
 
+  /// Batched generate(): fills `out` with exactly the values out.size()
+  /// generate() calls would return, in order, consuming exactly their RNG
+  /// draws (the golden corpus pins every draw). One virtual call per batch
+  /// instead of per particle; the default simply loops.
+  virtual void generate_n(Rng& rng, std::span<Vec3> out) const;
+
   /// True if the point lies inside (volumes) / behind the normal (plane).
   virtual bool within(Vec3 p) const = 0;
 
   /// Signed distance + normal for collision response. For thin domains
   /// (plane, disc) the sign is relative to the normal side.
   virtual SurfaceHit surface(Vec3 p) const = 0;
+
+  /// Batched surface(): hits[i] = surface(points[i]), bit for bit.
+  /// `hits` must be at least as long as `points`.
+  virtual void surface_n(std::span<const Vec3> points,
+                         std::span<SurfaceHit> hits) const;
 
   /// Conservative bounding box (kHuge extents for unbounded domains).
   virtual Aabb bounds() const = 0;

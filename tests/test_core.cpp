@@ -3,15 +3,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/decomposition.hpp"
 #include "core/exchange.hpp"
 #include "core/wire.hpp"
+#include "math/rng.hpp"
 #include "mp/runtime.hpp"
+#include "render/camera.hpp"
+#include "render/compare.hpp"
+#include "render/splat.hpp"
 
 namespace psanim::core {
 namespace {
 
 using psys::Particle;
+using Bytes = std::vector<std::byte>;
 
 Particle at_x(float x) {
   Particle p;
@@ -187,6 +195,162 @@ TEST(Wire, FrameVerticesRoundTripCount) {
   const auto back = decode_frame_vertices(m, 9);
   ASSERT_EQ(back.size(), 100u);
   EXPECT_FLOAT_EQ(back[42].pos.x, 42.0f);
+}
+
+TEST(Wire, PackVertexMapsNonFiniteInputsToDefinedBytes) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  RenderVertex v;
+  v.color = {kNan, kInf, -kInf};
+  v.alpha = 1.0f;
+  v.size = kNan;
+  PackedVertex p = pack_vertex(v);
+  EXPECT_EQ(p.r, 0);    // NaN
+  EXPECT_EQ(p.g, 255);  // +inf clamps high
+  EXPECT_EQ(p.b, 0);    // -inf clamps low
+  EXPECT_EQ(p.size_q, 0);
+
+  v.color = {0.5f, 0.0f, 1.0f};
+  v.alpha = kNan;  // NaN alpha poisons every channel
+  v.size = kInf;
+  p = pack_vertex(v);
+  EXPECT_EQ(p.r, 0);
+  EXPECT_EQ(p.g, 0);
+  EXPECT_EQ(p.b, 0);
+  EXPECT_EQ(p.size_q, 255);
+
+  v.color = {0.0f, 0.5f, 1.0f};
+  v.alpha = kInf;  // 0 * inf is NaN; the others overflow to +inf
+  v.size = -kInf;
+  p = pack_vertex(v);
+  EXPECT_EQ(p.r, 0);
+  EXPECT_EQ(p.g, 255);
+  EXPECT_EQ(p.b, 255);
+  EXPECT_EQ(p.size_q, 0);
+}
+
+TEST(Wire, PackVertexMatchesTheClampFormulaOnFiniteInputs) {
+  // The quantizer before non-finite inputs were handled; defined (and
+  // pinned by the golden corpus) for every finite input.
+  const auto reference = [](float x) {
+    const float c = x < 0 ? 0.0f : (x > 1 ? 1.0f : x);
+    return static_cast<std::uint8_t>(c * 255.0f + 0.5f);
+  };
+  std::vector<float> inputs = {-1e30f, -1.0f, -0.0f, 0.0f, 1e-30f, 1.0f,
+                               std::nextafter(1.0f, 2.0f), 2.0f, 1e30f,
+                               std::numeric_limits<float>::max(),
+                               -std::numeric_limits<float>::max(),
+                               std::numeric_limits<float>::denorm_min()};
+  for (int i = -1000; i <= 2000; ++i) inputs.push_back(i / 1000.0f);
+  Rng rng(17);
+  for (int i = 0; i < 20000; ++i) inputs.push_back(rng.uniform(-0.5f, 1.5f));
+  for (const float x : inputs) {
+    RenderVertex v;
+    v.color = {x, x, x};
+    v.alpha = 1.0f;
+    v.size = x * kMaxSplatSize;
+    const PackedVertex p = pack_vertex(v);
+    ASSERT_EQ(p.r, reference(x)) << x;
+    ASSERT_EQ(p.size_q, reference(v.size / kMaxSplatSize)) << x;
+  }
+}
+
+/// `n` particles with varied shading (sizes beyond kMaxSplatSize too), all
+/// inside [0, 10) on x so they fit a store over that interval.
+std::vector<Particle> shaded_particles(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Particle> out(n);
+  for (auto& p : out) {
+    p.pos = {rng.uniform(0.0f, 10.0f), rng.uniform(-3.0f, 3.0f),
+             rng.uniform(-3.0f, 3.0f)};
+    p.color = {rng.next_float(), rng.next_float(), rng.next_float()};
+    p.alpha = rng.uniform(0.0f, 1.2f);
+    p.size = rng.uniform(0.0f, 0.7f);
+  }
+  return out;
+}
+
+std::vector<RenderVertex> snapshot_vertices(
+    const std::vector<psys::SlicedStore>& stores) {
+  std::vector<RenderVertex> verts;
+  for (const auto& store : stores) {
+    for (const auto& p : store.snapshot()) {
+      verts.push_back(to_render_vertex(p));
+    }
+  }
+  return verts;
+}
+
+TEST(Wire, FrameVerticesFromStoresMatchTheSnapshotEncoding) {
+  // Several systems: an empty store, one with most slices empty (all its
+  // particles in one narrow band), a one-slice store, and full ones.
+  std::vector<std::vector<psys::SlicedStore>> cases;
+  cases.emplace_back();  // no systems at all
+  {
+    std::vector<psys::SlicedStore> stores;
+    stores.emplace_back(0, 0.0f, 10.0f, 8);  // empty
+    stores.emplace_back(0, 0.0f, 10.0f, 8);
+    auto band = shaded_particles(300, 1);
+    for (auto& p : band) p.pos.x = 4.0f + p.pos.x * 0.05f;  // slices 3-4
+    stores.back().insert_batch(band);
+    stores.emplace_back(0, 0.0f, 10.0f, 1);
+    stores.back().insert_batch(shaded_particles(257, 2));
+    stores.emplace_back(0, 0.0f, 10.0f, 8);
+    stores.back().insert_batch(shaded_particles(1000, 3));
+    stores.emplace_back(0, 0.0f, 10.0f, 8);  // empty, last
+    cases.push_back(std::move(stores));
+  }
+  {
+    std::vector<psys::SlicedStore> stores;
+    stores.emplace_back(0, 0.0f, 10.0f, 4);
+    stores.emplace_back(0, 0.0f, 10.0f, 4);
+    cases.push_back(std::move(stores));  // stores, but nothing in them
+  }
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE(c);
+    const auto& stores = cases[c];
+    const Bytes direct =
+        encode_frame_vertices(5, std::span<const psys::SlicedStore>(stores))
+            .take();
+    const Bytes via_snapshot =
+        encode_frame_vertices(5, snapshot_vertices(stores)).take();
+    EXPECT_EQ(direct, via_snapshot);
+  }
+}
+
+TEST(Wire, ChunkedSplatMatchesSplattingTheDecodedFrame) {
+  const auto cam = render::Camera::framing({5, 0, 0}, 8.0f, 64, 48);
+  const std::size_t k = FrameVertexView::kChunk;
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, k - 1, k, k + 1, 2 * k - 1, 2 * k,
+        2 * k + 1}) {
+    SCOPED_TRACE(n);
+    std::vector<RenderVertex> verts;
+    for (const auto& p : shaded_particles(n, 40 + n)) {
+      verts.push_back(to_render_vertex(p));
+    }
+    mp::Message m;
+    m.payload = encode_frame_vertices(3, verts).take();
+
+    render::Framebuffer whole(64, 48);
+    const auto decoded = decode_frame_vertices(m, 3);
+    render::splat_points(whole, cam, std::span<const RenderVertex>(decoded),
+                         render::BlendMode::kAdditive);
+
+    render::Framebuffer chunked(64, 48);
+    const FrameVertexView view(m, 3);
+    EXPECT_EQ(view.size(), n);
+    std::size_t visited = 0;
+    view.for_each_chunk([&](std::span<const RenderVertex> chunk) {
+      EXPECT_LE(chunk.size(), k);
+      EXPECT_FALSE(chunk.empty());
+      visited += chunk.size();
+      render::splat_points(chunked, cam, chunk, render::BlendMode::kAdditive);
+    });
+    EXPECT_EQ(visited, n);
+    EXPECT_EQ(render::hash_framebuffer(chunked),
+              render::hash_framebuffer(whole));
+  }
 }
 
 TEST(Wire, RankHelpers) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "psys/action_list.hpp"
 #include "psys/actions.hpp"
 #include "psys/effects.hpp"
@@ -118,6 +121,125 @@ TEST(RandomAccel, PerturbsWithinDomainScale) {
     any_changed |= p.vel.length2() > 0;
   }
   EXPECT_TRUE(any_changed);
+}
+
+// --- the batched domain queries keep the per-particle semantics ---------
+
+constexpr std::size_t kSpanSizes[] = {0, 1, 255, 256, 257, 1000};
+
+/// `n` particles around the y = 0 plane, heading every which way, with
+/// every third one dead.
+std::vector<Particle> mixed_span(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Particle> ps;
+  for (std::size_t i = 0; i < n; ++i) {
+    Particle p = at(rng.in_box({-2, -0.5f, -2}, {2, 1, 2}),
+                    rng.in_box({-3, -6, -3}, {3, 2, 3}));
+    if (i % 3 == 2) p.kill();
+    ps.push_back(p);
+  }
+  return ps;
+}
+
+void expect_same_bits(const std::vector<Particle>& a,
+                      const std::vector<Particle>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&a[i], &b[i], sizeof(Particle)), 0) << "particle "
+                                                              << i;
+  }
+}
+
+/// The per-particle loops the batched actions replaced.
+void reference_random_accel(const Domain& d, std::span<Particle> ps,
+                            Rng& rng, float dt) {
+  for (auto& p : ps) {
+    if (p.dead()) continue;
+    p.vel += d.generate(rng) * dt;
+  }
+}
+
+void reference_bounce(const Domain& d, float restitution, float friction,
+                      std::span<Particle> ps, float dt) {
+  for (auto& p : ps) {
+    if (p.dead()) continue;
+    const SurfaceHit hit = d.surface(p.pos + p.vel * dt);
+    if (hit.signed_distance >= 0.0f) continue;
+    const float vn = p.vel.dot(hit.normal);
+    if (vn >= 0.0f) continue;
+    const Vec3 normal_part = hit.normal * vn;
+    const Vec3 tangent_part = p.vel - normal_part;
+    p.vel = tangent_part * (1.0f - friction) - normal_part * restitution;
+  }
+}
+
+TEST(RandomAccel, BatchedSamplingMatchesPerParticleLoop) {
+  // The sphere has its own generate_n; the box uses the default loop.
+  for (const DomainPtr& d :
+       {make_sphere({0, 0, 0}, 1.2f), make_box({-1, -2, -1}, {1, 0, 1})}) {
+    for (const std::size_t n : kSpanSizes) {
+      SCOPED_TRACE(to_string(d->kind()) + " n=" + std::to_string(n));
+      std::vector<Particle> want = mixed_span(n, n);
+      std::vector<Particle> got = want;
+      Rng ref_rng(31 + n);
+      Rng rng(31 + n);
+      reference_random_accel(*d, want, ref_rng, 0.05f);
+      ActionContext ctx = ctx_with(rng, 0.05f);
+      RandomAccel(d).apply(got, ctx);
+      expect_same_bits(got, want);
+      EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
+    }
+  }
+}
+
+TEST(RandomAccel, RngStateCarriesAcrossSlicesLikeFusedPasses) {
+  // FusedPasses applies one pass, with one RNG, slice after slice: the
+  // batched sampler must leave the stream exactly where the per-particle
+  // loop did, or every later slice shifts.
+  const auto d = make_sphere({0, 0, 0}, 1.0f);
+  std::vector<std::vector<Particle>> want;
+  for (const std::size_t n : kSpanSizes) want.push_back(mixed_span(n, 7 * n));
+  auto got = want;
+  Rng ref_rng(8);
+  Rng rng(8);
+  ActionContext ctx = ctx_with(rng, 0.1f);
+  const RandomAccel action(d);
+  for (std::size_t s = 0; s < want.size(); ++s) {
+    reference_random_accel(*d, want[s], ref_rng, 0.1f);
+    action.apply(got[s], ctx);
+  }
+  for (std::size_t s = 0; s < want.size(); ++s) {
+    SCOPED_TRACE(s);
+    expect_same_bits(got[s], want[s]);
+  }
+  EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
+}
+
+TEST(Bounce, BatchedSurfaceQueriesMatchPerParticleLoop) {
+  // The plane (tilted, off the origin) has its own surface_n; the sphere
+  // uses the default loop.
+  for (const DomainPtr& d : {make_plane({0.3f, 0.1f, -0.2f}, {0.2f, 1, 0.1f}),
+                             make_sphere({0, -3, 0}, 3.2f)}) {
+    for (const std::size_t n : kSpanSizes) {
+      SCOPED_TRACE(to_string(d->kind()) + " n=" + std::to_string(n));
+      const std::vector<Particle> before = mixed_span(n, 100 + n);
+      std::vector<Particle> want = before;
+      std::vector<Particle> got = before;
+      reference_bounce(*d, 0.3f, 0.2f, want, 0.1f);
+      std::size_t bounced = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        bounced += want[i].vel == before[i].vel ? 0 : 1;
+      }
+      if (n >= 255) {
+        EXPECT_GT(bounced, 0u);  // the comparison is not vacuous
+      }
+      Rng rng(1);
+      ActionContext ctx = ctx_with(rng, 0.1f);
+      Bounce(d, 0.3f, 0.2f).apply(got, ctx);
+      expect_same_bits(got, want);
+      EXPECT_EQ(rng.next_u64(), Rng(1).next_u64());  // Bounce draws nothing
+    }
+  }
 }
 
 TEST(Damping, ExponentialInDt) {

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "psys/source_domain.hpp"
 
@@ -61,8 +64,123 @@ TEST_P(DomainParamTest, FarPointsAreOutside) {
   EXPECT_GT(c.domain->surface(far).signed_distance, 0.0f) << c.name;
 }
 
+// --- the batched contract: generate_n / surface_n == the scalar calls ---
+
+/// Bitwise equality (NaN payloads included), unlike operator==.
+template <typename T>
+bool same_bits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+constexpr std::size_t kBatchSizes[] = {0, 1, 255, 256, 257, 1000};
+
+TEST_P(DomainParamTest, GenerateNMatchesRepeatedGenerate) {
+  const DomainCase c = all_domains()[GetParam()];
+  for (const std::size_t n : kBatchSizes) {
+    SCOPED_TRACE(c.name + " n=" + std::to_string(n));
+    Rng scalar(4242 + n);
+    Rng batched(4242 + n);
+    std::vector<Vec3> want(n);
+    for (auto& v : want) v = c.domain->generate(scalar);
+    std::vector<Vec3> got(n);
+    c.domain->generate_n(batched, got);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(same_bits(got[i], want[i])) << "sample " << i;
+    }
+    // Exactly the same draws were consumed.
+    EXPECT_EQ(batched.next_u64(), scalar.next_u64());
+  }
+}
+
+void expect_surface_n_matches_surface(const Domain& d) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const Vec3 odd[] = {{kNan, 0, 0},   {0, kNan, 0},    {0, 0, kNan},
+                      {kInf, 0, 0},   {0, -kInf, 0},   {kInf, kInf, kInf},
+                      {kNan, kInf, 1}, {0, 0, 0},      {1, 2, 3},
+                      {-1e30f, 1e30f, 0}};
+  for (const std::size_t n : kBatchSizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Rng rng(77 + n);
+    std::vector<Vec3> points(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      points[i] = i % 5 == 0 ? odd[(i / 5) % std::size(odd)]
+                             : rng.in_box({-5, -5, -5}, {5, 5, 5});
+    }
+    std::vector<SurfaceHit> got(n);
+    d.surface_n(points, got);
+    for (std::size_t i = 0; i < n; ++i) {
+      const SurfaceHit want = d.surface(points[i]);
+      ASSERT_TRUE(same_bits(got[i].signed_distance, want.signed_distance))
+          << "point " << i;
+      ASSERT_TRUE(same_bits(got[i].normal, want.normal)) << "point " << i;
+    }
+  }
+}
+
+TEST_P(DomainParamTest, SurfaceNMatchesSurfaceIncludingNonFinitePoints) {
+  const DomainCase c = all_domains()[GetParam()];
+  SCOPED_TRACE(c.name);
+  expect_surface_n_matches_surface(*c.domain);
+}
+
+TEST(PlaneDomain, SurfaceNMatchesSurfaceOffTheOrigin) {
+  // Tilted and offset, so every term of the distance rounds.
+  expect_surface_n_matches_surface(
+      *make_plane({0.3f, -1.7f, 2.1f}, {0.2f, 1.0f, -0.35f}));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllDomains, DomainParamTest,
                          ::testing::Range<std::size_t>(0, 7));
+
+/// Implements only the scalar queries, like an out-of-tree Domain
+/// decorator: the batched defaults must forward to them.
+class ScalarOnlyDomain final : public Domain {
+ public:
+  explicit ScalarOnlyDomain(DomainPtr inner) : inner_(std::move(inner)) {}
+  DomainKind kind() const override { return inner_->kind(); }
+  Vec3 generate(Rng& rng) const override {
+    ++generate_calls;
+    return inner_->generate(rng);
+  }
+  bool within(Vec3 p) const override { return inner_->within(p); }
+  SurfaceHit surface(Vec3 p) const override {
+    ++surface_calls;
+    return inner_->surface(p);
+  }
+  Aabb bounds() const override { return inner_->bounds(); }
+
+  mutable std::size_t generate_calls = 0;
+  mutable std::size_t surface_calls = 0;
+
+ private:
+  DomainPtr inner_;
+};
+
+TEST(DomainBatchDefaults, ForwardToTheScalarQueries) {
+  const auto sphere = make_sphere({0, 1, 0}, 2.0f);
+  const ScalarOnlyDomain wrapped(sphere);
+  Rng a(5);
+  Rng b(5);
+  std::vector<Vec3> got(300);
+  std::vector<Vec3> want(300);
+  wrapped.generate_n(a, got);
+  sphere->generate_n(b, want);
+  EXPECT_EQ(wrapped.generate_calls, 300u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(same_bits(got[i], want[i]));
+  }
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+
+  std::vector<SurfaceHit> hits(got.size());
+  wrapped.surface_n(got, hits);
+  EXPECT_EQ(wrapped.surface_calls, got.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const SurfaceHit want_hit = sphere->surface(got[i]);
+    ASSERT_TRUE(same_bits(hits[i].signed_distance, want_hit.signed_distance));
+    ASSERT_TRUE(same_bits(hits[i].normal, want_hit.normal));
+  }
+}
 
 TEST(PointDomain, GeneratesExactPoint) {
   Rng rng(1);

@@ -1,6 +1,8 @@
 // Wire-codec robustness fuzz: seeded mutations over every core/wire.cpp
-// decoder — particle batches, frame vertices, load reports, balance orders
-// and domain edges — asserting the decoders' contract everywhere: a
+// decoder — particle batches, frame vertices (both the vector decoder and
+// the chunk visitor the image generator splats from), load reports,
+// balance orders and domain edges — asserting the decoders' contract
+// everywhere: a
 // truncated payload, an inflated element count, a wrong control header or
 // a payload for another frame is refused with the decoder's typed error
 // (core::ProtocolError or mp::DecodeError); a flipped bit either decodes
@@ -16,6 +18,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,6 +69,33 @@ psys::Particle particle(float x) {
   return p;
 }
 
+/// Drive the chunk visitor: a payload is either refused before the
+/// callback has run once (the image generator never splats part of a
+/// malformed frame) or visited in full, vertex for vertex what
+/// decode_frame_vertices returns.
+std::size_t visit_frame_vertices(const mp::Message& m, std::uint32_t frame) {
+  std::vector<core::RenderVertex> seen;
+  std::size_t calls = 0;
+  try {
+    const core::FrameVertexView view(m, frame);
+    view.for_each_chunk([&](std::span<const core::RenderVertex> chunk) {
+      ++calls;
+      seen.insert(seen.end(), chunk.begin(), chunk.end());
+    });
+  } catch (...) {
+    EXPECT_EQ(calls, 0u) << "visitor ran on a payload it then refused";
+    throw;
+  }
+  const auto decoded = core::decode_frame_vertices(m, frame);
+  EXPECT_EQ(seen.size(), decoded.size());
+  if (seen.size() == decoded.size() && !seen.empty()) {
+    EXPECT_EQ(std::memcmp(seen.data(), decoded.data(),
+                          seen.size() * sizeof(core::RenderVertex)),
+              0);
+  }
+  return seen.size();
+}
+
 std::vector<Codec> codecs() {
   std::vector<Codec> out;
 
@@ -90,6 +120,9 @@ std::vector<Codec> codecs() {
                  [](const mp::Message& m, std::uint32_t f) {
                    return core::decode_frame_vertices(m, f).size();
                  }});
+  out.push_back({"FrameVertexView",
+                 bytes_of(core::encode_frame_vertices(kFrame, verts)),
+                 verts.size(), sizeof(std::uint64_t), visit_frame_vertices});
 
   const std::vector<core::LoadEntry> loads{
       {0, 1200, 0.25}, {1, 0, 0.0}, {3, 77, 1e-3}};
@@ -259,6 +292,57 @@ TEST(WireFuzz, WrongHeaderOrFrameIsAProtocolError) {
          {kFrame - 1, kFrame + 1, std::numeric_limits<std::uint32_t>::max()}) {
       EXPECT_THROW(c.decode(m, expect), core::ProtocolError)
           << "expect frame " << expect;
+    }
+  }
+}
+
+// --- the chunk visitor across chunk boundaries ----------------------------
+
+TEST(WireFuzz, FrameVertexVisitorAcrossChunkBoundaries) {
+  // Multi-chunk payloads under the same mutation families: every cut,
+  // inflated and deflated counts, and seeded bit flips.
+  const std::size_t k = core::FrameVertexView::kChunk;
+  Rng rng{77};
+  for (const std::size_t n : {k - 1, k, k + 1, 2 * k + 3}) {
+    SCOPED_TRACE(n);
+    std::vector<core::RenderVertex> verts;
+    for (std::size_t i = 0; i < n; ++i) {
+      verts.push_back(core::to_render_vertex(particle(0.01f * i)));
+    }
+    const Codec c{"FrameVertexView",
+                  bytes_of(core::encode_frame_vertices(kFrame, verts)), n,
+                  sizeof(std::uint64_t), visit_frame_vertices};
+    mp::Message m;
+    m.payload = c.base;
+    ASSERT_EQ(visit_frame_vertices(m, kFrame), n);
+
+    for (std::size_t len = 0; len < c.base.size(); ++len) {
+      const Bytes cut(c.base.begin(),
+                      c.base.begin() + static_cast<std::ptrdiff_t>(len));
+      ASSERT_EQ(decode(c, cut), Outcome::kRejected) << "len " << len;
+    }
+    for (const std::uint64_t count :
+         {std::uint64_t{n + 1}, std::uint64_t{n + k},
+          std::numeric_limits<std::uint64_t>::max() / 16 + 1}) {
+      Bytes bytes = c.base;
+      put_field(bytes, kCountOffset, c.count_width, count);
+      EXPECT_EQ(decode(c, bytes), Outcome::kRejected) << "count " << count;
+    }
+    // A smaller count is a well-formed shorter frame with trailing bytes:
+    // the visitor sees exactly the prefix, like the vector decoder.
+    for (const std::uint64_t count : {std::uint64_t{0}, std::uint64_t{n - 1},
+                                      std::uint64_t{k}}) {
+      if (count > n) continue;
+      Bytes bytes = c.base;
+      put_field(bytes, kCountOffset, c.count_width, count);
+      m.payload = bytes;
+      EXPECT_EQ(visit_frame_vertices(m, kFrame), count);
+    }
+    for (int trial = 0; trial < 200; ++trial) {
+      Bytes bytes = c.base;
+      const std::size_t pos = rng.below(bytes.size());
+      bytes[pos] ^= static_cast<std::byte>(1u << rng.below(8));
+      decode(c, bytes);  // either outcome; the visitor checks itself
     }
   }
 }
