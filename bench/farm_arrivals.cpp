@@ -2,10 +2,12 @@
 // PR 10), emitting BENCH_PR10_FARM.json.
 //
 // One heavy-tailed multi-tenant job stream — an "interactive" tenant
-// submitting short high-priority clips into a "batch" tenant's long-job
-// background, open-loop Poisson arrivals plus closed-loop think-delay
-// chains — replayed on the same 8-node shared cluster under FIFO,
-// preemptive priority (PR-9 strict head-of-line reservation), preemptive
+// submitting short high-priority clips into a long-job background split
+// between two equal-priority tenants, "batch" (narrow 4/12-frame jobs) and
+// "batch-wide" (the wide 40/120-frame tail), open-loop Poisson arrivals
+// plus closed-loop think-delay chains — replayed on the same 8-node
+// shared cluster under FIFO, preemptive priority (PR-9 strict
+// head-of-line reservation), preemptive
 // fair-share, and the PR-10 legs: EASY backfill around the blocked head,
 // and backfill with preemption-cost-aware victim selection. All legs
 // replay the identical stream, so every cross-leg ratio is apples to
@@ -29,7 +31,10 @@
 //     keeping the interactive p99 wait within 2x of the strict-priority
 //     value, with jobs actually backfilled — strict reservation's
 //     remaining cost shows up in batch queue wait, which backfill cuts;
-//   - preemptive legs evict (preemption_events > 0), every leg drains.
+//   - preemptive legs evict (preemption_events > 0), every leg drains;
+//   - fair-share is not priority in disguise: the two legs differ in
+//     preemption events, makespan or tenant service, and fair-share cuts
+//     the narrow batch tenant's p99 wait below priority's.
 //
 // Usage: farm_arrivals [--full] [--out BENCH_PR10_FARM.json]
 //   quick (default): a few hundred jobs — the CI/perf-tier scale;
@@ -120,9 +125,12 @@ std::vector<JobShape> make_stream(std::size_t jobs, double interarrival_mean) {
       s.priority = 5;
       s.frames = 4;
     } else {
-      s.tenant = "batch";
       s.priority = 0;
       s.frames = sample_frames(rng);
+      // Two equal-priority batch tenants with unequal appetite: the wide
+      // heavy tail is its own tenant, so fair-share has a tie to break
+      // that priority cannot see.
+      s.tenant = s.frames >= 40 ? "batch-wide" : "batch";
       s.ncalc = ncalc_for(s.frames);
     }
     out.push_back(s);
@@ -394,6 +402,25 @@ int main(int argc, char** argv) {
   }
   if (prio.preemption_events <= 0 || fair.preemption_events <= 0) {
     std::fprintf(stderr, "VIOLATION: a preemptive leg never preempted\n");
+    ++violations;
+  }
+  // Fair-share must be a policy of its own on this stream: the two batch
+  // tenants tie on priority, so a fair-share leg that reproduces the
+  // priority leg never ranked by service at all.
+  if (fair.preemption_events == prio.preemption_events &&
+      fair.makespan_s == prio.makespan_s &&
+      fair.tenant_rank_s == prio.tenant_rank_s) {
+    std::fprintf(stderr, "VIOLATION: fair_share reproduces priority — "
+                         "tenant service never ranked the queue\n");
+    ++violations;
+  }
+  const double prio_b99 = prio.tenants.at("batch").wait_p99;
+  const double fair_b99 = fair.tenants.at("batch").wait_p99;
+  if (!(fair_b99 < prio_b99)) {
+    std::fprintf(stderr,
+                 "VIOLATION: fair_share batch p99 wait %.17g not below "
+                 "priority's %.17g\n",
+                 fair_b99, prio_b99);
     ++violations;
   }
   for (const auto* l : {&fifo, &prio, &prio2, &fair, &bf, &bfc, &bfc2}) {

@@ -25,7 +25,16 @@ void decode_store(mp::Reader& r, psys::SlicedStore& store) {
   }
   const float lo = r.get<float>();
   const float hi = r.get<float>();
+  if (!(lo <= hi)) {
+    throw mp::DecodeError("snapshot store: bounds are not ordered");
+  }
+  // Each slice costs at least its u64 length: bound the count by the bytes
+  // left before reserving for it.
   const auto n = r.get<std::uint64_t>();
+  if (n == 0 || n > r.remaining() / sizeof(std::uint64_t)) {
+    throw mp::DecodeError("snapshot store: slice count " + std::to_string(n) +
+                          " does not fit the payload");
+  }
   std::vector<std::vector<psys::Particle>> slices;
   slices.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {

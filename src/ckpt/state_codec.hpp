@@ -21,7 +21,9 @@ namespace psanim::ckpt {
 
 void encode_store(mp::Writer& w, const psys::SlicedStore& store);
 /// Restores bounds and the exact slice layout into `store`; throws
-/// SnapshotError when the serialized axis contradicts the store's.
+/// SnapshotError when the serialized axis contradicts the store's, and
+/// mp::DecodeError for a malformed payload (a truncation, unordered
+/// bounds, or a slice or particle count the remaining bytes cannot hold).
 void decode_store(mp::Reader& r, psys::SlicedStore& store);
 
 void encode_telemetry(mp::Writer& w, const trace::Telemetry& tel);

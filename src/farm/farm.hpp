@@ -6,42 +6,29 @@
 // The paper runs one animation on the whole cluster; a production service
 // runs many at once. Farm accepts N independent jobs (each its own scene +
 // settings), admission-checks them against the shared ClusterSpec, and
-// schedules them with a deterministic work-conserving policy (FIFO or
-// shortest-virtual-job-first, both with backfill). Every job executes as
-// its own mp::Runtime — real threads, instance-isolated mailboxes and
-// clocks — over the CPU slots it was granted, and co-scheduled jobs run
-// concurrently in wall-clock too.
+// runs what its farm::Scheduler decides: every job executes as its own
+// mp::Runtime over the CPU slots it was granted, co-scheduled jobs
+// concurrently in wall-clock too, and every decision is journaled.
 //
 // Two-level virtual time. Each job's *internal* virtual time is exactly
 // what a standalone run on its granted sub-cluster would measure — the
 // farm never alters a job's inputs, so results (framebuffer, particles,
 // makespan) are bit-identical to standalone. The *farm-level* timeline is
-// a discrete-event simulation over job arrivals and completions: every
-// shared node carries a virtual clock tracking resident ranks, and a job
-// co-scheduled with neighbors on an SMP node drains its work slower by the
-// bus-sharing factor its standalone run did not have to pay
-// (cost.smp_contention, the same constant the in-job rate model uses).
-// A job's farm completion time therefore stretches under contention while
-// its simulation output does not — contention is modeled, not ignored,
-// and determinism survives (the DES depends only on virtual quantities,
-// never on wall-clock interleaving).
-//
-// Capacity is never oversubscribed: a job starts only when every granted
-// node has a free CPU slot per rank, so the only cross-job slowdown is the
-// SMP bus-sharing penalty of co-residency within a node's slot budget.
+// the scheduler's discrete-event simulation (see scheduler.hpp), where a
+// job co-resident with neighbors on an SMP node drains its work slower by
+// the bus-sharing factor (cost.smp_contention). Capacity is never
+// oversubscribed, and the DES depends only on virtual quantities, never on
+// wall-clock interleaving.
 //
 // Preemption (kPriority / kFairShare). The vault is the preemption
-// mechanism: to evict a running job the driver picks the earliest
-// checkpoint frame the job has not yet passed, lets it drain there, seals
-// that snapshot in the job's per-job vault, frees its slots
-// (kPreempting -> kSuspended), and later relaunches it with
-// `resume_from = that frame` — on any free nodes whose types match the
-// original grant, not necessarily the same ones. Because the resumed run
-// reuses the original sub_spec/placement verbatim (only the shared-node
-// identities change), its inputs are literally identical and the restored
-// animation is bit-identical to the uninterrupted run — the same guarantee
-// the Replayer proves for crash recovery, now exercised across nodes.
-// There is deliberately no in-memory freeze path; see DESIGN.md.
+// mechanism: an evicted job drains to the earliest checkpoint frame it has
+// not yet passed, seals that snapshot in its per-job vault, frees its
+// slots (kPreempting -> kSuspended), and is later relaunched with
+// `resume_from = that frame` on any free nodes whose types match the
+// original grant. The resumed run reuses the original sub_spec/placement
+// verbatim, so the restored animation is bit-identical to the
+// uninterrupted run. There is deliberately no in-memory freeze path; see
+// DESIGN.md.
 
 #include <atomic>
 #include <condition_variable>
@@ -55,7 +42,6 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/policy.hpp"
 #include "ckpt/vault.hpp"
 #include "cluster/cost_model.hpp"
 #include "farm/job.hpp"
@@ -104,15 +90,10 @@ struct FarmOptions {
   /// A job checkpointed out this many times is never evicted again
   /// (starvation guard for low-priority tenants under hostile load).
   int max_preemptions_per_job = 4;
-  /// EASY backfill (preemptive policies only). When the head of the
-  /// policy order is blocked, the driver computes its reservation — the
-  /// earliest instant it fits, from the DES's own per-job finish
-  /// estimates taken at worst-case contention stretch (upper bounds) —
-  /// and starts later queued jobs that provably cannot delay it: either
-  /// the reservation stays feasible even if the backfilled job never
-  /// releases its slots, or the job's calibrated runtime upper bound ends
-  /// before the reserved start needs the slots. Off = PR-9 strict
-  /// head-of-line (no job jumps a blocked head).
+  /// EASY backfill (preemptive policies only): a blocked policy head pins
+  /// a reservation from the DES's upper-bound release instants, and later
+  /// jobs start only when they provably cannot delay it (see
+  /// Scheduler::pass). Off = strict head-of-line.
   bool easy_backfill = false;
   /// How mark_victims ranks eligible victims (see VictimSelection).
   VictimSelection victim_selection = VictimSelection::kLeastDeserving;
@@ -185,6 +166,9 @@ namespace detail {
 struct JobRecord;
 struct SharedState;
 }  // namespace detail
+
+class Scheduler;
+struct Segment;
 
 /// Async handle returned by Farm::submit. Valid (and non-blocking to
 /// query) even after the Farm is destroyed.
@@ -287,29 +271,32 @@ class Farm {
   const FarmOptions& options() const { return options_; }
 
  private:
-  struct Running;
-  struct LaunchReq;
+  struct LaunchOut;
 
-  void drive();  // driver thread body
-  /// Returns true when slots the scheduling pass budgeted came back free
-  /// (a launch failed or a cancel won the race) — the driver must re-run
-  /// the pass at the same instant before advancing time.
-  bool launch_batch(std::vector<LaunchReq> batch, double now,
-                    std::vector<Running>& running,
-                    std::vector<int>& free_slots);
-  void recompute_stretch(std::vector<Running>& running) const;
-  /// Mark enough lower-ranked running jobs kPreempting that, once they
-  /// vacate, `blocked` fits. Never exceeds max_preemptions_per_job.
-  void mark_victims(const std::shared_ptr<detail::JobRecord>& blocked,
-                    std::vector<Running>& running, int total_free, double now);
-  void release_dependents(int seq, double at);
+  // The driver thread: admission, the launch executor and the journal
+  // around a farm::Scheduler, which owns every scheduling decision and
+  // the farm-virtual clock.
+  void drive();
+  /// Hand jobs cancelled while waiting to the scheduler, journaling each
+  /// at the sweep instant.
+  void sweep(Scheduler& sched);
+  /// Run one scheduling pass and execute its launch batch. Returns true
+  /// when slots the pass granted came back at once (a launch failed or a
+  /// cancel won the claim): the driver re-runs the pass at that instant.
+  bool launch(Scheduler& sched);
+  void claim(const Segment& seg, LaunchOut& out, double now);
+  void execute(const std::vector<Segment>& batch,
+               std::vector<LaunchOut>& outs) const;
+  /// Advance the scheduler to its next event and apply its finishes and
+  /// vacates to the job records; false once the farm has drained.
+  bool advance(Scheduler& sched);
+  void close_report(const Scheduler& sched);
   void journal(JournalType type, const detail::JobRecord& rec, double time_s,
                std::uint32_t frame = 0);
 
   cluster::ClusterSpec shared_;
   FarmOptions options_;
   int total_slots_ = 0;
-  bool preemptive_ = false;  ///< policy preempts and preempt_interval > 0
 
   std::shared_ptr<detail::SharedState> ss_;
   std::vector<std::shared_ptr<detail::JobRecord>> jobs_;
@@ -320,39 +307,10 @@ class Farm {
   Report report_;
   std::unique_ptr<JournalWriter> journal_;
 
-  // Everything below is driver-owned state (farm virtual time): occupancy
-  // by shared node (Report::nodes derives from it), per-tenant service,
-  // suspended-job restore info, closed-loop arrival releases, and the
-  // obs-file names already handed out (collision suffixing).
-  std::vector<int> occupancy_;
-  std::vector<NodeUsage> usage_;
-  std::map<std::string, double> tenant_used_;
-  /// kFairShare's scheduling view of tenant_used_: identical when
-  /// fair_share.half_life_s <= 0, exponentially decayed otherwise.
-  std::map<std::string, double> tenant_score_;
-  /// Max observed (segment duration / est) over fresh launches — the
-  /// calibration that turns a tenant estimate into a runtime upper bound
-  /// for EASY cond-1 backfill. 0 until the first launch lands.
-  double est_ratio_max_ = 0.0;
-  int backfills_ = 0;     ///< backfilled launch events
-  int reservations_ = 0;  ///< jobs that ever pinned a reservation
-  struct SuspendInfo {
-    /// Farm-owned, or a non-owning alias of the tenant's own vault.
-    std::shared_ptr<ckpt::Vault> vault;
-    ckpt::CkptPolicy ckpt;  ///< effective policy at launch
-    std::uint32_t resume_frame = 0;
-    /// Virtual work left past the vacate point — exact, so a suspended
-    /// backfill candidate needs no estimate calibration.
-    double remaining_s = 0.0;
-    Assignment original;
-  };
-  std::map<int, SuspendInfo> suspended_;
-  int preempt_events_ = 0;  ///< vacates (a job may contribute several)
-  int restores_ = 0;
-  int migrations_ = 0;  ///< restores onto a different shared-node set
-  std::map<int, std::vector<std::shared_ptr<detail::JobRecord>>> dependents_;
-  std::vector<std::pair<double, std::shared_ptr<detail::JobRecord>>>
-      arrivals_;  ///< min-heap by (time, seq)
+  // Driver-owned: each preempt-capable job's vault from its first launch
+  // to its end (farm-owned, or a non-owning alias of the tenant's own),
+  // and the obs-file names already handed out (collision suffixing).
+  std::map<int, std::shared_ptr<ckpt::Vault>> vaults_;
   std::set<std::string> used_obs_names_;
   /// Vault aliases handed to recover()ed jobs — kept alive for the farm's
   /// lifetime so spec.settings.ckpt_vault raw pointers stay valid even if

@@ -6,48 +6,28 @@
 
 namespace psanim::farm {
 
+namespace {
+
+/// Enum names by value (every enum here counts densely from 0).
+template <typename E, std::size_t N>
+std::string name_of(E e, const char* const (&names)[N]) {
+  const auto i = static_cast<std::size_t>(e);
+  return i < N ? names[i] : "?";
+}
+
+}  // namespace
+
 std::string to_string(Policy p) {
-  switch (p) {
-    case Policy::kFifo:
-      return "fifo";
-    case Policy::kSjf:
-      return "sjf";
-    case Policy::kPriority:
-      return "priority";
-    case Policy::kFairShare:
-      return "fair-share";
-  }
-  return "?";
+  return name_of(p, {"fifo", "sjf", "priority", "fair-share"});
 }
 
 std::string to_string(VictimSelection v) {
-  switch (v) {
-    case VictimSelection::kLeastDeserving:
-      return "least-deserving";
-    case VictimSelection::kCostAware:
-      return "cost-aware";
-  }
-  return "?";
+  return name_of(v, {"least-deserving", "cost-aware"});
 }
 
 std::string to_string(JobState s) {
-  switch (s) {
-    case JobState::kQueued:
-      return "queued";
-    case JobState::kRunning:
-      return "running";
-    case JobState::kPreempting:
-      return "preempting";
-    case JobState::kSuspended:
-      return "suspended";
-    case JobState::kDone:
-      return "done";
-    case JobState::kFailed:
-      return "failed";
-    case JobState::kCancelled:
-      return "cancelled";
-  }
-  return "?";
+  return name_of(s, {"queued", "running", "preempting", "suspended", "done",
+                     "failed", "cancelled"});
 }
 
 double estimate_virtual_cost(const JobSpec& spec) {

@@ -1,6 +1,7 @@
 #include "farm/journal.hpp"
 
-#include <cstring>
+#include <bit>
+#include <iterator>
 #include <map>
 #include <span>
 #include <stdexcept>
@@ -10,49 +11,25 @@
 namespace psanim::farm {
 
 std::string to_string(JournalType t) {
-  switch (t) {
-    case JournalType::kSubmit:
-      return "submit";
-    case JournalType::kLaunch:
-      return "launch";
-    case JournalType::kPreempt:
-      return "preempt";
-    case JournalType::kRestore:
-      return "restore";
-    case JournalType::kFinish:
-      return "finish";
-  }
-  return "?";
+  constexpr const char* kNames[] = {"submit", "launch", "preempt", "restore",
+                                    "finish"};
+  const auto i = static_cast<std::size_t>(t);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 namespace {
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+/// Little-endian integer append, whatever the host order.
+template <typename T>
+void put_le(std::string& out, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out.push_back(static_cast<char>((static_cast<std::uint64_t>(v) >> (8 * i)) &
+                                    0xFF));
   }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
 }
 
 void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
+  put_le(out, static_cast<std::uint32_t>(s.size()));
   out.append(s);
 }
 
@@ -63,45 +40,22 @@ struct Cursor {
   std::size_t pos = 0;
   bool ok = true;
 
-  bool take(void* dst, std::size_t n) {
-    if (!ok || pos + n > buf.size()) {
-      ok = false;
-      return false;
+  bool fits(std::size_t n) {
+    ok = ok && pos + n <= buf.size();
+    return ok;
+  }
+  template <typename T>
+  T le() {
+    std::uint64_t v = 0;
+    if (!fits(sizeof(T))) return 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= std::uint64_t{static_cast<std::uint8_t>(buf[pos++])} << (8 * i);
     }
-    std::memcpy(dst, buf.data() + pos, n);
-    pos += n;
-    return true;
-  }
-  std::uint8_t u8() {
-    std::uint8_t v = 0;
-    take(&v, 1);
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint8_t b[4] = {};
-    take(b, 4);
-    return static_cast<std::uint32_t>(b[0]) |
-           (static_cast<std::uint32_t>(b[1]) << 8) |
-           (static_cast<std::uint32_t>(b[2]) << 16) |
-           (static_cast<std::uint32_t>(b[3]) << 24);
-  }
-  std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    const std::uint64_t hi = u32();
-    return lo | (hi << 32);
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
+    return static_cast<T>(v);
   }
   std::string str() {
-    const std::uint32_t n = u32();
-    if (!ok || pos + n > buf.size()) {
-      ok = false;
-      return {};
-    }
+    const auto n = le<std::uint32_t>();
+    if (!fits(n)) return {};
     std::string s(buf, pos, n);
     pos += n;
     return s;
@@ -110,12 +64,12 @@ struct Cursor {
 
 std::string encode(const JournalRecord& rec) {
   std::string p;
-  p.push_back(static_cast<char>(rec.type));
-  put_u32(p, static_cast<std::uint32_t>(rec.seq));
-  put_f64(p, rec.time_s);
-  put_u32(p, rec.frame);
-  p.push_back(static_cast<char>(rec.state));
-  put_u64(p, rec.fb_hash);
+  put_le(p, static_cast<std::uint8_t>(rec.type));
+  put_le(p, static_cast<std::uint32_t>(rec.seq));
+  put_le(p, std::bit_cast<std::uint64_t>(rec.time_s));
+  put_le(p, rec.frame);
+  put_le(p, static_cast<std::uint8_t>(rec.state));
+  put_le(p, rec.fb_hash);
   put_str(p, rec.name);
   put_str(p, rec.tenant);
   return p;
@@ -134,8 +88,8 @@ JournalWriter::JournalWriter(const std::string& path) : path_(path) {
     throw std::runtime_error("JournalWriter: cannot create '" + path + "'");
   }
   std::string hdr;
-  put_u32(hdr, kJournalMagic);
-  put_u16(hdr, kJournalVersion);
+  put_le(hdr, kJournalMagic);
+  put_le(hdr, kJournalVersion);
   out_.write(hdr.data(), static_cast<std::streamsize>(hdr.size()));
   out_.flush();
 }
@@ -143,8 +97,8 @@ JournalWriter::JournalWriter(const std::string& path) : path_(path) {
 void JournalWriter::append(const JournalRecord& rec) {
   const std::string p = encode(rec);
   std::string frame;
-  put_u32(frame, static_cast<std::uint32_t>(p.size()));
-  put_u32(frame, payload_crc(p));
+  put_le(frame, static_cast<std::uint32_t>(p.size()));
+  put_le(frame, payload_crc(p));
   frame.append(p);
   const std::scoped_lock lock(mu_);
   out_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
@@ -163,9 +117,8 @@ std::vector<JournalRecord> read_journal(const std::string& path) {
   std::string buf((std::istreambuf_iterator<char>(in)),
                   std::istreambuf_iterator<char>());
   Cursor c{buf};
-  const std::uint32_t magic = c.u32();
-  std::uint8_t vb[2] = {};
-  c.take(vb, 2);
+  const auto magic = c.le<std::uint32_t>();
+  const auto version = c.le<std::uint16_t>();
   if (!c.ok) {
     throw std::runtime_error("read_journal: '" + path +
                              "' is too short to hold a journal header");
@@ -174,8 +127,6 @@ std::vector<JournalRecord> read_journal(const std::string& path) {
     throw std::runtime_error("read_journal: '" + path +
                              "' is not a farm journal (bad magic)");
   }
-  const std::uint16_t version =
-      static_cast<std::uint16_t>(vb[0] | (vb[1] << 8));
   if (version != kJournalVersion) {
     throw std::runtime_error(
         "read_journal: '" + path + "' has journal version " +
@@ -185,8 +136,8 @@ std::vector<JournalRecord> read_journal(const std::string& path) {
 
   std::vector<JournalRecord> out;
   for (;;) {
-    const std::uint32_t len = c.u32();
-    const std::uint32_t crc = c.u32();
+    const auto len = c.le<std::uint32_t>();
+    const auto crc = c.le<std::uint32_t>();
     if (!c.ok || c.pos + len > buf.size()) break;  // torn tail: clean end
     const std::string payload(buf, c.pos, len);
     if (payload_crc(payload) != crc) {
@@ -203,12 +154,12 @@ std::vector<JournalRecord> read_journal(const std::string& path) {
     c.pos += len;
     Cursor pc{payload};
     JournalRecord rec;
-    rec.type = static_cast<JournalType>(pc.u8());
-    rec.seq = static_cast<int>(pc.u32());
-    rec.time_s = pc.f64();
-    rec.frame = pc.u32();
-    rec.state = static_cast<JobState>(pc.u8());
-    rec.fb_hash = pc.u64();
+    rec.type = static_cast<JournalType>(pc.le<std::uint8_t>());
+    rec.seq = static_cast<int>(pc.le<std::uint32_t>());
+    rec.time_s = std::bit_cast<double>(pc.le<std::uint64_t>());
+    rec.frame = pc.le<std::uint32_t>();
+    rec.state = static_cast<JobState>(pc.le<std::uint8_t>());
+    rec.fb_hash = pc.le<std::uint64_t>();
     rec.name = pc.str();
     rec.tenant = pc.str();
     if (!pc.ok) {

@@ -40,8 +40,23 @@ void encode_ring(mp::Writer& w, const RankRecorder& rec,
   }
 }
 
+namespace {
+
+/// Encoded bytes of one ring record (see encode_ring).
+constexpr std::size_t kRecordBytes = 3 * sizeof(std::uint64_t) +
+                                     2 * sizeof(double) +
+                                     2 * sizeof(std::uint32_t) +
+                                     sizeof(std::int32_t) + 2;
+
+}  // namespace
+
 std::vector<SpanRecord> decode_ring(mp::Reader& r, LabelTable& labels) {
+  // Every count is bounded by the bytes left before anything is sized
+  // from it: a label costs at least its u64 length, a record kRecordBytes.
   const auto nlabels = r.get<std::uint64_t>();
+  if (nlabels > r.remaining() / sizeof(std::uint64_t)) {
+    throw mp::DecodeError("flight ring: label count exceeds payload");
+  }
   std::vector<std::uint32_t> live_ids;
   live_ids.reserve(static_cast<std::size_t>(nlabels));
   for (std::uint64_t i = 0; i < nlabels; ++i) {
@@ -50,6 +65,9 @@ std::vector<SpanRecord> decode_ring(mp::Reader& r, LabelTable& labels) {
         labels.intern(std::string_view(chars.data(), chars.size())));
   }
   const auto n = r.get<std::uint64_t>();
+  if (n > r.remaining() / kRecordBytes) {
+    throw mp::DecodeError("flight ring: record count exceeds payload");
+  }
   std::vector<SpanRecord> out;
   out.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -60,10 +78,22 @@ std::vector<SpanRecord> decode_ring(mp::Reader& r, LabelTable& labels) {
     rec.begin_v = r.get<double>();
     rec.end_v = r.get<double>();
     rec.frame = r.get<std::uint32_t>();
-    rec.label = live_ids.at(r.get<std::uint32_t>());
+    const auto label = r.get<std::uint32_t>();
+    if (label >= live_ids.size()) {
+      throw mp::DecodeError("flight ring: label index out of range");
+    }
+    rec.label = live_ids[label];
     rec.rank = r.get<std::int32_t>();
-    rec.kind = static_cast<RecordKind>(r.get<std::uint8_t>());
+    const auto kind = r.get<std::uint8_t>();
+    if (kind > static_cast<std::uint8_t>(RecordKind::kFlowRecv)) {
+      throw mp::DecodeError("flight ring: unknown record kind " +
+                            std::to_string(kind));
+    }
+    rec.kind = static_cast<RecordKind>(kind);
     rec.replayed = r.get<std::uint8_t>();
+    if (rec.replayed > 1) {
+      throw mp::DecodeError("flight ring: replayed flag is not 0 or 1");
+    }
     out.push_back(rec);
   }
   return out;

@@ -26,6 +26,9 @@ void encode_ring(mp::Writer& w, const RankRecorder& rec,
 
 /// Decode a ring section encoded by encode_ring, re-interning every label
 /// into `labels`. Records come back oldest first with live label ids.
+/// Throws mp::DecodeError for a malformed section: a truncation, a label
+/// or record count the remaining bytes cannot hold, a label index out of
+/// range, a kind above kFlowRecv, or a replayed flag other than 0 or 1.
 std::vector<SpanRecord> decode_ring(mp::Reader& r, LabelTable& labels);
 
 }  // namespace psanim::obs

@@ -15,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -329,6 +332,58 @@ TEST(FarmHandles, CancelQueuedButNotFinished) {
   EXPECT_EQ(report.jobs_done, 1u);
   EXPECT_EQ(report.jobs_cancelled, 1u);
   EXPECT_FALSE(keep.cancel());  // done jobs can't be cancelled
+}
+
+TEST(FarmHandles, CancelIsJournaledWhenTheSchedulerDropsTheJob) {
+  // A cancelled job's terminal record lands at the instant the scheduler
+  // drops it from the queue, not when the driver exits: a journal cut
+  // mid-run must never bring a cancelled job back as pending.
+  const auto dir = std::filesystem::path(::testing::TempDir());
+  const std::string path = (dir / "farm_cancel.journal").string();
+  FarmOptions o = fast_opts();
+  o.journal_path = path;
+  Farm f(flat_cluster(1, 3), o);  // one slot set: A, then C, serially
+  f.submit(tiny_job("A", 1, 4));
+  auto b = f.submit(tiny_job("B", 1, 4));
+  f.submit(tiny_job("C", 1, 4));
+  ASSERT_TRUE(b.cancel());
+  f.run();
+
+  const auto recs = farm::read_journal(path);
+  const auto at = [&](farm::JournalType type, int seq) {
+    const auto it = std::find_if(recs.begin(), recs.end(), [&](const auto& r) {
+      return r.type == type && r.seq == seq;
+    });
+    return static_cast<std::size_t>(it - recs.begin());
+  };
+  const std::size_t b_finish = at(farm::JournalType::kFinish, 1);
+  const std::size_t c_launch = at(farm::JournalType::kLaunch, 2);
+  ASSERT_LT(b_finish, recs.size());
+  ASSERT_LT(c_launch, recs.size());
+  EXPECT_EQ(recs[b_finish].state, JobState::kCancelled);
+  EXPECT_EQ(recs[b_finish].time_s, 0.0);
+  EXPECT_LT(b_finish, c_launch);
+
+  // Cut the journal right after C's launch (the shortest prefix holding
+  // exactly those records): B is terminal there, C still pending.
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  const std::string cut = (dir / "farm_cancel_cut.journal").string();
+  bool found = false;
+  for (std::size_t len = 0; len <= bytes.size() && !found; ++len) {
+    std::ofstream(cut, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(len));
+    try {
+      found = farm::read_journal(cut).size() == c_launch + 1;
+    } catch (const std::runtime_error&) {
+      // Prefix still inside the header.
+    }
+  }
+  ASSERT_TRUE(found);
+  const auto rc = farm::recover_journal(cut);
+  ASSERT_EQ(rc.pending.size(), 1u);
+  EXPECT_EQ(rc.pending[0].seq, 2) << "only C is pending; B was cancelled";
 }
 
 TEST(FarmHandles, DefaultConstructedHandleThrowsInsteadOfCrashing) {

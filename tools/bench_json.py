@@ -48,7 +48,10 @@ psanim-bench-pr10-farm-v1 (bench/farm_arrivals --out):
     priority sits strictly below its FIFO p99 wait;
   - the priority and priority_rerun legs match field-for-field as literal
     JSON strings (the preemptive DES is deterministic);
-  - fair_share delivered nonzero rank-seconds to both tenants;
+  - fair_share delivered nonzero rank-seconds to all three tenants
+    (interactive, batch, batch-wide), differs from priority in preemption
+    events, makespan or some tenant's rank-seconds, and cuts the narrow
+    batch tenant's p99 wait below its value under priority;
   - the backfill leg's makespan stretch over FIFO sits at or below 1.3x
     (EASY backfill repairs the ~2.6x cost of strict head-of-line
     reservation), with the FIFO makespan guarded nonzero so the ratio is
@@ -493,11 +496,35 @@ def _check_headline_interactive(legs):
 
 
 def _check_fair_share_service(legs):
-    ranks = legs["fair_share"].get("tenant_rank_s", {})
-    for tenant in ("interactive", "batch"):
+    """Fair-share served every tenant, and is a policy of its own: the two
+    batch tenants tie on priority, so a fair_share leg equal to the
+    priority leg in preemption events, makespan and every tenant's service
+    never ranked the queue by service (the blind spot this gate closes),
+    and fair-share must cut the narrow batch tenant's p99 wait below its
+    value under priority."""
+    fair, prio = legs["fair_share"], legs["priority"]
+    ranks = fair.get("tenant_rank_s", {})
+    for tenant in ("interactive", "batch", "batch-wide"):
         if float(ranks.get(tenant, "0")) <= 0.0:
             fail(f"fair_share: tenant {tenant} received no service "
                  f"(tenant_rank_s missing or zero)")
+    if (fair.get("preemption_events") == prio.get("preemption_events")
+            and fair.get("makespan_s") == prio.get("makespan_s")
+            and ranks == prio.get("tenant_rank_s", {})):
+        fail("fair_share equals priority in preemption_events, makespan_s "
+             "and every tenant_rank_s — fair-share never ranked by service")
+    else:
+        ok("fair_share diverges from priority")
+    fair_b = _tenant_p99(legs, "fair_share", "batch")
+    prio_b = _tenant_p99(legs, "priority", "batch")
+    if fair_b is None or prio_b is None:
+        return
+    if not fair_b < prio_b:
+        fail(f"batch p99 wait under fair_share ({fair_b}) not below "
+             f"priority ({prio_b}) — fair-share bought the narrow tenant "
+             f"nothing")
+    else:
+        ok(f"batch p99 wait: fair_share {fair_b} < priority {prio_b}")
 
 
 def check_pr10_farm(doc):

@@ -28,7 +28,8 @@ CHECKER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 
 def leg(makespan, *, preempted=0, events=0, backfilled=0,
-        interactive_jobs=20, interactive_p99=0.006):
+        interactive_jobs=20, interactive_p99=0.006, batch_p99=1.2,
+        batch_rank_s=3.0):
     return {
         "makespan_s": makespan,
         "jobs_done": 100, "jobs_failed": 0,
@@ -41,10 +42,13 @@ def leg(makespan, *, preempted=0, events=0, backfilled=0,
             "interactive": {"jobs": interactive_jobs, "wait_p50_s": 0.001,
                             "wait_p99_s": interactive_p99,
                             "slowdown_p99": 2.0},
-            "batch": {"jobs": 100 - interactive_jobs, "wait_p50_s": 0.02,
-                      "wait_p99_s": 1.2, "slowdown_p99": 50.0},
+            "batch": {"jobs": 90 - interactive_jobs, "wait_p50_s": 0.02,
+                      "wait_p99_s": batch_p99, "slowdown_p99": 50.0},
+            "batch-wide": {"jobs": 10, "wait_p50_s": 0.02,
+                           "wait_p99_s": 1.5, "slowdown_p99": 60.0},
         },
-        "tenant_rank_s": {"interactive": 0.4, "batch": 3.6},
+        "tenant_rank_s": {"interactive": 0.4, "batch": batch_rank_s,
+                          "batch-wide": 1.8},
     }
 
 
@@ -60,7 +64,8 @@ def pr10_doc():
             "fifo": leg(4.0, interactive_p99=1.2),
             "priority": prio,
             "priority_rerun": copy.deepcopy(prio),
-            "fair_share": leg(10.4, preempted=19, events=22),
+            "fair_share": leg(10.1, preempted=21, events=25, batch_p99=0.3,
+                              batch_rank_s=3.2),
             "backfill": leg(5.0, preempted=18, events=22, backfilled=2,
                             interactive_p99=0.01),
             "backfill_costaware": bfc,
@@ -144,6 +149,22 @@ class BenchJsonCheck(unittest.TestCase):
         doc = pr10_doc()
         doc["legs"]["backfill_costaware_rerun"]["jobs_backfilled"] = 8
         self.assert_fails(doc, "backfill_costaware_rerun")
+
+    def test_pr10_fair_share_identical_to_priority_fails(self):
+        # The blind spot: a fair_share leg that is the priority leg again.
+        doc = pr10_doc()
+        doc["legs"]["fair_share"] = copy.deepcopy(doc["legs"]["priority"])
+        self.assert_fails(doc, "never ranked by service")
+
+    def test_pr10_fair_share_not_cutting_batch_wait_fails(self):
+        doc = pr10_doc()
+        doc["legs"]["fair_share"]["tenants"]["batch"]["wait_p99_s"] = 1.2
+        self.assert_fails(doc, "bought the narrow tenant nothing")
+
+    def test_pr10_fair_share_unserved_wide_tenant_fails(self):
+        doc = pr10_doc()
+        del doc["legs"]["fair_share"]["tenant_rank_s"]["batch-wide"]
+        self.assert_fails(doc, "tenant batch-wide received no service")
 
     def test_pr10_lost_jobs_fail(self):
         doc = pr10_doc()
