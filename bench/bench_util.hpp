@@ -1,7 +1,7 @@
 #pragma once
 
-// Shared plumbing for the experiment benches: command-line scale flags and
-// paper-vs-measured table assembly.
+// Shared plumbing for the experiment benches: command-line scale flags,
+// paper-vs-measured table assembly, and the farm benches' report gate.
 //
 // Every table bench runs a reduced workload by default so the whole bench
 // directory finishes in minutes on a laptop; pass --full for the paper's
@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 
+#include "farm/farm.hpp"
 #include "sim/report.hpp"
 #include "sim/run_config.hpp"
 #include "sim/runner.hpp"
@@ -90,6 +91,42 @@ inline sim::RunConfig e800_row(int nodes, int procs, core::SpaceMode space,
   cfg.lb = lb;
   cfg.baseline_node = cluster::NodeType::e800();
   return cfg;
+}
+
+/// Gate on a drained farm run: all `jobs` done and none failed, the queue
+/// depth never negative, and the exact-sample SLO percentiles sane — wait
+/// non-negative and monotone (p50 <= p95 <= p99), p99 turnaround covering
+/// p99 wait, slowdown monotone and at least 1 (no job beats its own
+/// contention-free run). Prints each violation under `tag`; returns how
+/// many there were.
+inline int check_farm_report(const std::string& tag, const farm::Report& r,
+                             std::size_t jobs) {
+  int violations = 0;
+  const auto violation = [&](const char* what) {
+    std::fprintf(stderr, "VIOLATION %s: %s\n", tag.c_str(), what);
+    ++violations;
+  };
+  if (r.jobs_done != jobs || r.jobs_failed != 0) {
+    violation("not every job completed");
+  }
+  for (const auto& [t, depth] : r.queue_depth) {
+    if (depth < 0) violation("negative queue depth");
+  }
+  const double w50 = r.wait_q.quantile(0.5);
+  const double w95 = r.wait_q.quantile(0.95);
+  const double w99 = r.wait_q.quantile(0.99);
+  const double s50 = r.slowdown_q.quantile(0.5);
+  const double s99 = r.slowdown_q.quantile(0.99);
+  if (!(0.0 <= w50 && w50 <= w95 && w95 <= w99)) {
+    violation("wait percentiles not monotone and non-negative");
+  }
+  if (r.turnaround_q.quantile(0.99) < w99) {
+    violation("p99 turnaround below p99 wait");
+  }
+  if (!(s50 <= s99) || s50 < 1.0 - 1e-9) {
+    violation("slowdown percentiles not monotone or below 1");
+  }
+  return violations;
 }
 
 /// Print a completed table plus the shape notes a reader should check.

@@ -20,24 +20,30 @@
 // release bounds) is exercised thousands of times per leg. All reported
 // times are farm-virtual, so every number is bit-reproducible; the
 // priority and backfill_costaware legs each run twice and the artifact
-// records both so tools/bench_json.py can assert determinism from the
-// JSON alone.
+// records both.
 //
-// The gates, asserted here AND re-checked by tools/bench_json.py check:
+// The binary is a fast-tier ctest (perf.farm_arrivals, quick scale) and
+// exits non-zero on any violation of:
+//   - per leg: every job drained and none failed, SLO percentiles sane
+//     overall and per tenant, every tenant (interactive, batch,
+//     batch-wide) actually sampled — a tenant gate over zero jobs would
+//     pass vacuously;
 //   - preemptive priority cuts the interactive tenant's p99 wait strictly
 //     below FIFO's (the PR-9 headline);
-//   - the backfill leg must hold the batch makespan stretch over FIFO at
+//   - the four preemptive legs evict (preemption_events > 0), FIFO never
+//     does; the two backfill legs backfill, the other legs never do;
+//   - each rerun leg serializes to exactly its first run's record;
+//   - the backfill leg holds the batch makespan stretch over FIFO at
 //     <= 1.3x (the PR-9 strict policy paid 2.6x on its stream) while
 //     keeping the interactive p99 wait within 2x of the strict-priority
-//     value, with jobs actually backfilled — strict reservation's
-//     remaining cost shows up in batch queue wait, which backfill cuts;
-//   - preemptive legs evict (preemption_events > 0), every leg drains;
-//   - fair-share is not priority in disguise: the two legs differ in
-//     preemption events, makespan or tenant service, and fair-share cuts
-//     the narrow batch tenant's p99 wait below priority's.
+//     value, with both denominators nonzero so neither bound is vacuous;
+//   - fair-share is not priority in disguise: it serves all three
+//     tenants, differs from priority in preemption events, makespan or
+//     tenant service, and cuts the narrow batch tenant's p99 wait below
+//     priority's.
 //
 // Usage: farm_arrivals [--full] [--out BENCH_PR10_FARM.json]
-//   quick (default): a few hundred jobs — the CI/perf-tier scale;
+//   quick (default): a few hundred jobs — the fast-tier scale;
 //   --full: 10k+ jobs, the committed-artifact scale.
 
 #include <algorithm>
@@ -45,10 +51,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hpp"
 #include "cluster/cluster_spec.hpp"
 #include "farm/farm.hpp"
 #include "farm/job.hpp"
@@ -189,9 +197,13 @@ struct LegOut {
   int queue_depth_peak = 0;
   std::map<std::string, TenantSlo> tenants;
   std::map<std::string, double> tenant_rank_s;
+  int violations = 0;  ///< per-leg gate failures (see run_leg)
 };
 
+constexpr const char* kTenants[] = {"interactive", "batch", "batch-wide"};
+
 struct LegCfg {
+  const char* name = "";
   farm::Policy policy = farm::Policy::kFifo;
   bool easy_backfill = false;
   farm::VictimSelection victim = farm::VictimSelection::kLeastDeserving;
@@ -263,13 +275,52 @@ LegOut run_leg(const std::vector<JobShape>& stream, const LegCfg& cfg) {
     slo.slowdown_p99 = slows[tenant].quantile(0.99);
     out.tenants[tenant] = slo;
   }
+
+  out.violations = bench::check_farm_report(cfg.name, r, stream.size());
+  for (const char* tenant : kTenants) {
+    if (out.tenants.count(tenant) == 0) {
+      std::fprintf(stderr, "VIOLATION %s: sampled no %s jobs\n", cfg.name,
+                   tenant);
+      ++out.violations;
+    }
+  }
+  for (const auto& [tenant, slo] : out.tenants) {
+    if (!(0.0 <= slo.wait_p50 && slo.wait_p50 <= slo.wait_p99) ||
+        slo.slowdown_p99 < 1.0 - 1e-9) {
+      std::fprintf(stderr, "VIOLATION %s: tenant %s SLO percentiles not "
+                           "sane\n", cfg.name, tenant.c_str());
+      ++out.violations;
+    }
+  }
   return out;
 }
 
-void jleg(std::FILE* f, const char* key, const LegOut& l, const char* suffix) {
-  std::fprintf(
-      f,
-      "    \"%s\": {\"makespan_s\": %.17g, \"jobs_done\": %zu, "
+/// A tenant's p99 wait; NaN when the leg never sampled it, so every gate
+/// over it fails instead of passing vacuously.
+double tenant_p99(const LegOut& l, const char* tenant) {
+  const auto it = l.tenants.find(tenant);
+  return it != l.tenants.end() ? it->second.wait_p99
+                               : std::numeric_limits<double>::quiet_NaN();
+}
+
+/// printf onto the end of `out`.
+template <typename... Args>
+void appendf(std::string& out, const char* fmt, Args... args) {
+  const auto n =
+      static_cast<std::size_t>(std::snprintf(nullptr, 0, fmt, args...));
+  const std::size_t at = out.size();
+  out.resize(at + n + 1);
+  std::snprintf(out.data() + at, n + 1, fmt, args...);
+  out.resize(at + n);
+}
+
+/// One leg's artifact record, every double printed %.17g: equal records
+/// mean bit-identical legs.
+std::string leg_json(const LegOut& l) {
+  std::string out;
+  appendf(
+      out,
+      "{\"makespan_s\": %.17g, \"jobs_done\": %zu, "
       "\"jobs_failed\": %zu,\n"
       "      \"jobs_preempted\": %zu, \"jobs_backfilled\": %zu, "
       "\"preemption_events\": %ld, \"migrations\": %ld,\n"
@@ -279,25 +330,26 @@ void jleg(std::FILE* f, const char* key, const LegOut& l, const char* suffix) {
       "\"slowdown_p99\": %.17g,\n"
       "      \"queue_depth_peak\": %d,\n"
       "      \"tenants\": {",
-      key, l.makespan_s, l.jobs_done, l.jobs_failed, l.jobs_preempted,
+      l.makespan_s, l.jobs_done, l.jobs_failed, l.jobs_preempted,
       l.jobs_backfilled, l.preemption_events, l.migrations, l.wait_p50,
       l.wait_p95, l.wait_p99, l.turnaround_p99, l.slowdown_p50,
       l.slowdown_p99, l.queue_depth_peak);
   std::size_t i = 0;
   for (const auto& [tenant, slo] : l.tenants) {
-    std::fprintf(f,
-                 "\"%s\": {\"jobs\": %zu, \"wait_p50_s\": %.17g, "
-                 "\"wait_p99_s\": %.17g, \"slowdown_p99\": %.17g}%s",
-                 tenant.c_str(), slo.jobs, slo.wait_p50, slo.wait_p99,
-                 slo.slowdown_p99, ++i < l.tenants.size() ? ", " : "");
+    appendf(out,
+            "\"%s\": {\"jobs\": %zu, \"wait_p50_s\": %.17g, "
+            "\"wait_p99_s\": %.17g, \"slowdown_p99\": %.17g}%s",
+            tenant.c_str(), slo.jobs, slo.wait_p50, slo.wait_p99,
+            slo.slowdown_p99, ++i < l.tenants.size() ? ", " : "");
   }
-  std::fprintf(f, "},\n      \"tenant_rank_s\": {");
+  out += "},\n      \"tenant_rank_s\": {";
   i = 0;
   for (const auto& [tenant, rank_s] : l.tenant_rank_s) {
-    std::fprintf(f, "\"%s\": %.17g%s", tenant.c_str(), rank_s,
-                 ++i < l.tenant_rank_s.size() ? ", " : "");
+    appendf(out, "\"%s\": %.17g%s", tenant.c_str(), rank_s,
+            ++i < l.tenant_rank_s.size() ? ", " : "");
   }
-  std::fprintf(f, "}}%s\n", suffix);
+  out += "}}";
+  return out;
 }
 
 }  // namespace
@@ -362,25 +414,28 @@ int main(int argc, char** argv) {
   std::printf("stream: %zu jobs (%zu interactive, %zu batch)\n",
               stream.size(), n_interactive, stream.size() - n_interactive);
 
-  const LegOut fifo = run_leg(stream, {farm::Policy::kFifo});
-  const LegOut prio = run_leg(stream, {farm::Policy::kPriority});
-  const LegOut prio2 = run_leg(stream, {farm::Policy::kPriority});
-  const LegOut fair = run_leg(stream, {farm::Policy::kFairShare});
-  const LegOut bf =
-      run_leg(stream, {farm::Policy::kPriority, /*easy_backfill=*/true});
-  const LegCfg bfc_cfg{farm::Policy::kPriority, /*easy_backfill=*/true,
-                       farm::VictimSelection::kCostAware};
-  const LegOut bfc = run_leg(stream, bfc_cfg);
-  const LegOut bfc2 = run_leg(stream, bfc_cfg);
+  const LegOut fifo = run_leg(stream, {"fifo", farm::Policy::kFifo});
+  const LegOut prio = run_leg(stream, {"priority", farm::Policy::kPriority});
+  const LegOut prio2 =
+      run_leg(stream, {"priority_rerun", farm::Policy::kPriority});
+  const LegOut fair =
+      run_leg(stream, {"fair_share", farm::Policy::kFairShare});
+  const LegOut bf = run_leg(
+      stream, {"backfill", farm::Policy::kPriority, /*easy_backfill=*/true});
+  const LegOut bfc =
+      run_leg(stream, {"backfill_costaware", farm::Policy::kPriority, true,
+                       farm::VictimSelection::kCostAware});
+  const LegOut bfc2 =
+      run_leg(stream, {"backfill_costaware_rerun", farm::Policy::kPriority,
+                       true, farm::VictimSelection::kCostAware});
 
   const auto show = [](const char* name, const LegOut& l) {
-    const auto it = l.tenants.find("interactive");
     std::printf("%-18s makespan=%.3f done=%zu preempted=%zu backfilled=%zu "
                 "events=%ld migrations=%ld | wait p99=%.4f | "
                 "interactive p99=%.4f\n",
                 name, l.makespan_s, l.jobs_done, l.jobs_preempted,
                 l.jobs_backfilled, l.preemption_events, l.migrations,
-                l.wait_p99, it != l.tenants.end() ? it->second.wait_p99 : -1.0);
+                l.wait_p99, tenant_p99(l, "interactive"));
   };
   show("fifo", fifo);
   show("priority", prio);
@@ -388,91 +443,62 @@ int main(int argc, char** argv) {
   show("backfill", bf);
   show("backfill+costaware", bfc);
 
-  // The gates, asserted here AND re-checked from the artifact by
-  // tools/bench_json.py (so a stale JSON cannot hide a regression).
   int violations = 0;
-  const double fifo_i99 = fifo.tenants.at("interactive").wait_p99;
-  const double prio_i99 = prio.tenants.at("interactive").wait_p99;
-  if (!(prio_i99 < fifo_i99)) {
-    std::fprintf(stderr,
-                 "VIOLATION: priority interactive p99 wait %.17g not below "
-                 "FIFO's %.17g\n",
-                 prio_i99, fifo_i99);
-    ++violations;
+  for (const auto* l : {&fifo, &prio, &prio2, &fair, &bf, &bfc, &bfc2}) {
+    violations += l->violations;
   }
-  if (prio.preemption_events <= 0 || fair.preemption_events <= 0) {
-    std::fprintf(stderr, "VIOLATION: a preemptive leg never preempted\n");
-    ++violations;
+  const auto gate = [&](bool ok, const char* what) {
+    if (!ok) {
+      std::fprintf(stderr, "VIOLATION: %s\n", what);
+      ++violations;
+    }
+  };
+  const double fifo_i99 = tenant_p99(fifo, "interactive");
+  const double prio_i99 = tenant_p99(prio, "interactive");
+  gate(prio_i99 < fifo_i99,
+       "priority interactive p99 wait not below FIFO's");
+  gate(fifo.preemption_events == 0, "fifo reported preemptions");
+  for (const auto* l : {&prio, &fair, &bf, &bfc}) {
+    gate(l->preemption_events > 0, "a preemptive leg never preempted");
   }
+  for (const auto* l : {&fifo, &prio, &fair}) {
+    gate(l->jobs_backfilled == 0, "a non-backfilling leg backfilled");
+  }
+  gate(bf.jobs_backfilled > 0, "backfill never backfilled a job");
+  gate(bfc.jobs_backfilled > 0, "backfill_costaware never backfilled a job");
+  gate(leg_json(prio) == leg_json(prio2),
+       "priority legs disagree — the DES leaked nondeterminism");
+  gate(leg_json(bfc) == leg_json(bfc2),
+       "backfill_costaware legs disagree — the backfill pass leaked "
+       "nondeterminism");
   // Fair-share must be a policy of its own on this stream: the two batch
   // tenants tie on priority, so a fair-share leg that reproduces the
   // priority leg never ranked by service at all.
-  if (fair.preemption_events == prio.preemption_events &&
-      fair.makespan_s == prio.makespan_s &&
-      fair.tenant_rank_s == prio.tenant_rank_s) {
-    std::fprintf(stderr, "VIOLATION: fair_share reproduces priority — "
-                         "tenant service never ranked the queue\n");
-    ++violations;
+  for (const char* tenant : kTenants) {
+    const auto it = fair.tenant_rank_s.find(tenant);
+    gate(it != fair.tenant_rank_s.end() && it->second > 0.0,
+         "fair_share left a tenant without service");
   }
-  const double prio_b99 = prio.tenants.at("batch").wait_p99;
-  const double fair_b99 = fair.tenants.at("batch").wait_p99;
-  if (!(fair_b99 < prio_b99)) {
-    std::fprintf(stderr,
-                 "VIOLATION: fair_share batch p99 wait %.17g not below "
-                 "priority's %.17g\n",
-                 fair_b99, prio_b99);
-    ++violations;
-  }
-  for (const auto* l : {&fifo, &prio, &prio2, &fair, &bf, &bfc, &bfc2}) {
-    if (l->jobs_done != stream.size()) {
-      std::fprintf(stderr, "VIOLATION: leg drained %zu of %zu jobs\n",
-                   l->jobs_done, stream.size());
-      ++violations;
-    }
-  }
-  if (prio.makespan_s != prio2.makespan_s ||
-      prio.wait_p99 != prio2.wait_p99 ||
-      prio.preemption_events != prio2.preemption_events) {
-    std::fprintf(stderr, "VIOLATION: priority legs disagree — the DES "
-                         "leaked nondeterminism\n");
-    ++violations;
-  }
-  if (bfc.makespan_s != bfc2.makespan_s || bfc.wait_p99 != bfc2.wait_p99 ||
-      bfc.preemption_events != bfc2.preemption_events ||
-      bfc.jobs_backfilled != bfc2.jobs_backfilled) {
-    std::fprintf(stderr, "VIOLATION: backfill_costaware legs disagree — "
-                         "the backfill pass leaked nondeterminism\n");
-    ++violations;
-  }
+  gate(fair.preemption_events != prio.preemption_events ||
+           fair.makespan_s != prio.makespan_s ||
+           fair.tenant_rank_s != prio.tenant_rank_s,
+       "fair_share reproduces priority — tenant service never ranked the "
+       "queue");
+  gate(tenant_p99(fair, "batch") < tenant_p99(prio, "batch"),
+       "fair_share batch p99 wait not below priority's");
   // The PR-10 headline, gated on the backfill leg: with EASY backfill the
   // preemptive policy's batch makespan stays within 1.3x of FIFO's (the
   // PR-9 strict policy paid 2.6x on its stream) without giving back the
-  // interactive-latency win (within 2x of strict priority's p99). The
-  // costaware leg is a measured ablation and only carries the
-  // drain/determinism/backfilled gates.
-  if (!(bf.makespan_s <= 1.3 * fifo.makespan_s)) {
-    std::fprintf(stderr,
-                 "VIOLATION: backfill makespan %.17g exceeds 1.3x FIFO's "
-                 "%.17g (stretch %.2fx)\n",
-                 bf.makespan_s, fifo.makespan_s,
-                 bf.makespan_s / fifo.makespan_s);
-    ++violations;
-  }
-  const double bf_i99 = bf.tenants.at("interactive").wait_p99;
-  if (!(bf_i99 <= 2.0 * prio_i99)) {
-    std::fprintf(stderr,
-                 "VIOLATION: backfill interactive p99 wait %.17g exceeds 2x "
-                 "the strict-priority value %.17g\n",
-                 bf_i99, prio_i99);
-    ++violations;
-  }
-  for (const auto* l : {&bf, &bfc}) {
-    if (l->jobs_backfilled == 0) {
-      std::fprintf(stderr, "VIOLATION: %s never backfilled a job\n",
-                   l == &bf ? "backfill" : "backfill_costaware");
-      ++violations;
-    }
-  }
+  // interactive-latency win (within 2x of strict priority's p99). A zero
+  // denominator is a degenerate run and fails. The costaware leg is a
+  // measured ablation and only carries the drain/determinism/backfilled
+  // gates.
+  gate(fifo.makespan_s > 0.0, "fifo makespan not positive");
+  gate(bf.makespan_s <= 1.3 * fifo.makespan_s,
+       "backfill makespan exceeds 1.3x FIFO's");
+  gate(prio_i99 > 0.0, "strict-priority interactive p99 wait not positive");
+  gate(tenant_p99(bf, "interactive") <= 2.0 * prio_i99,
+       "backfill interactive p99 wait exceeds 2x strict priority's");
   std::printf("batch makespan stretch vs fifo: strict %.2fx -> backfill "
               "%.2fx (costaware %.2fx)\n",
               prio.makespan_s / fifo.makespan_s,
@@ -489,13 +515,19 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"jobs\": %zu,\n  \"slots\": 32,\n", stream.size());
   std::fprintf(f, "  \"interarrival_mean_s\": %.17g,\n", interarrival);
   std::fprintf(f, "  \"legs\": {\n");
-  jleg(f, "fifo", fifo, ",");
-  jleg(f, "priority", prio, ",");
-  jleg(f, "priority_rerun", prio2, ",");
-  jleg(f, "fair_share", fair, ",");
-  jleg(f, "backfill", bf, ",");
-  jleg(f, "backfill_costaware", bfc, ",");
-  jleg(f, "backfill_costaware_rerun", bfc2, "");
+  const std::pair<const char*, const LegOut*> legs[] = {
+      {"fifo", &fifo},
+      {"priority", &prio},
+      {"priority_rerun", &prio2},
+      {"fair_share", &fair},
+      {"backfill", &bf},
+      {"backfill_costaware", &bfc},
+      {"backfill_costaware_rerun", &bfc2}};
+  for (std::size_t i = 0; i < std::size(legs); ++i) {
+    std::fprintf(f, "    \"%s\": %s%s\n", legs[i].first,
+                 leg_json(*legs[i].second).c_str(),
+                 i + 1 < std::size(legs) ? "," : "");
+  }
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path);

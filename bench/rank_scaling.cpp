@@ -2,36 +2,26 @@
 // core scaling"): wall-clock cost of driving W-rank worlds through a
 // fixed message-passing workload (a two-lap accumulating ring plus one
 // allgather), for the fiber scheduler at several worker counts and the
-// thread-per-rank oracle where it still applies (W <= 256).
+// thread-per-rank oracle where it still applies (W <= 256). The virtual
+// makespan column shows that scheduling is a wall-clock knob, never a
+// result knob (FiberScale.ThousandRankRingIdenticalAcrossWorkerCounts and
+// determinism.exec_mode_parity gate that).
 //
-// The virtual makespan column is the cross-check: every configuration of
-// the same world must report the *same* virtual finish time — scheduling
-// is a wall-clock knob, never a result knob. The bench aborts on a
-// mismatch.
+// Then the platform-topology sweep (EXPERIMENTS.md "Platform models"):
+// flat vs crossbar/fat-tree/dragonfly/WAN on a fixed snow workload, each
+// leg traced and fed through obs::analysis for its critical-path wire
+// share. The sweep's properties are gated by test_platform's
+// PlatformIntegration suite; this binary only measures.
 //
-// With --out FILE the bench also runs the platform-topology sweep (flat
-// vs crossbar/fat-tree/dragonfly/WAN on a fixed snow workload, every leg
-// twice, each leg traced and fed through obs::analysis for its
-// critical-path compute/wire split) and a FIFO-vs-SJF farm SLO scenario
-// (exact-sample wait/turnaround/slowdown percentiles from farm::Report),
-// then writes BENCH_PR8.json: schema-versioned, every double printed
-// %.17g, validated by tools/bench_json.py — which gates on the
-// critical-path wire share rising from flat to wan2 and on SJF's p99 wait
-// staying inside the FIFO-makespan sanity bound. The virtual columns are
-// bit-reproducible; wall_ms is informational.
-//
-// Usage: rank_scaling [--laps N] [--out FILE]
+// Usage: rank_scaling [--laps N]
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "core/simulation.hpp"
-#include "farm/farm.hpp"
-#include "farm/job.hpp"
 #include "mp/collectives.hpp"
 #include "mp/communicator.hpp"
 #include "mp/message.hpp"
@@ -45,12 +35,6 @@
 namespace {
 
 using namespace psanim;
-
-std::string fmt17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 struct Measured {
   double wall_ms = 0.0;
@@ -107,12 +91,6 @@ Measured run_world(int world, mp::ExecMode mode, int workers, int laps) {
 struct SweepLeg {
   double makespan_s = 0.0;  ///< animation_s — image-generator finish
   std::uint64_t fb_hash = 0;
-  /// Trace makespan: latest record over all ranks. >= makespan_s, because
-  /// the calculators do post-frame bookkeeping (final exchange) after the
-  /// image generator has already finished; the critical path tiles *this*.
-  double cp_makespan_s = 0.0;
-  double cp_compute_s = 0.0;
-  double cp_wire_s = 0.0;
   double cp_wire_share = 0.0;
 };
 
@@ -144,192 +122,30 @@ SweepLeg run_platform_leg(const std::string& platform) {
   SweepLeg leg;
   leg.makespan_s = r.animation_s;
   leg.fb_hash = render::hash_framebuffer(r.final_frame);
-  leg.cp_makespan_s = analysis.critical_path.makespan_s;
-  leg.cp_compute_s = analysis.critical_path.compute_s;
-  leg.cp_wire_s = analysis.critical_path.wire_s;
   leg.cp_wire_share = analysis.critical_path.wire_share();
   return leg;
-}
-
-struct ScalingRow {
-  int world = 0;
-  std::string core;
-  double wall_ms = 0.0;
-  double makespan_s = 0.0;
-};
-
-struct SweepRow {
-  std::string platform;
-  SweepLeg run1, run2;
-};
-
-/// Farm SLO leg: the hetero FIFO-vs-SJF scenario (fast quad + slow quad,
-/// one long job submitted adversarially early among five shorts), reduced
-/// to the exact-sample wait/turnaround/slowdown percentiles farm::Report
-/// now carries. SJF trades the long job's wait for farm makespan; the
-/// sanity bound (gated by bench_json.py) is that its p99 wait never
-/// exceeds the *FIFO* schedule's makespan — the whole schedule it beat.
-struct FarmSloOut {
-  double makespan_s = 0.0;
-  double wait_p50 = 0.0, wait_p95 = 0.0, wait_p99 = 0.0;
-  double turnaround_p99 = 0.0;
-  double slowdown_p50 = 0.0, slowdown_p99 = 0.0;
-  std::size_t jobs_done = 0;
-  int queue_depth_peak = 0;
-};
-
-FarmSloOut run_farm_slo(farm::Policy policy) {
-  cluster::ClusterSpec spec;
-  spec.add(cluster::NodeType::generic(1.0, 4));
-  spec.add(cluster::NodeType::generic(0.5, 4));
-  farm::FarmOptions opts;
-  opts.policy = policy;
-  opts.recv_timeout_s = 60.0;
-  farm::Farm f(spec, opts);
-  const struct {
-    const char* name;
-    const char* scene;
-    std::uint32_t frames;
-    std::uint64_t seed;
-  } shapes[] = {{"short0", "snow", 4, 0xE0},
-                {"long0", "fountain", 36, 0xE1},
-                {"short1", "snow", 4, 0xE2},
-                {"short2", "fountain", 4, 0xE3},
-                {"short3", "snow", 4, 0xE4},
-                {"short4", "fountain", 4, 0xE5}};
-  for (const auto& shape : shapes) {
-    sim::ScenarioParams p;
-    p.systems = 2;
-    p.particles_per_system = 600;
-    p.frames = shape.frames;
-    farm::JobSpec j;
-    j.name = shape.name;
-    j.scene = std::strcmp(shape.scene, "snow") == 0
-                  ? sim::make_snow_scene(p)
-                  : sim::make_fountain_scene(p);
-    j.settings.ncalc = 2;
-    j.settings.frames = shape.frames;
-    j.settings.seed = shape.seed;
-    j.settings.image_width = 64;
-    j.settings.image_height = 48;
-    f.submit(std::move(j));
-  }
-  const farm::Report r = f.run();
-  FarmSloOut out;
-  out.makespan_s = r.makespan_s;
-  out.wait_p50 = r.wait_q.quantile(0.5);
-  out.wait_p95 = r.wait_q.quantile(0.95);
-  out.wait_p99 = r.wait_q.quantile(0.99);
-  out.turnaround_p99 = r.turnaround_q.quantile(0.99);
-  out.slowdown_p50 = r.slowdown_q.quantile(0.5);
-  out.slowdown_p99 = r.slowdown_q.quantile(0.99);
-  out.jobs_done = r.jobs_done;
-  for (const auto& [t, depth] : r.queue_depth) {
-    (void)t;
-    if (depth > out.queue_depth_peak) out.queue_depth_peak = depth;
-  }
-  return out;
-}
-
-void jfarm(std::FILE* f, const char* key, const FarmSloOut& p,
-           const char* suffix) {
-  std::fprintf(f,
-               "    \"%s\": {\"makespan_s\": %s, \"jobs_done\": %zu, "
-               "\"queue_depth_peak\": %d,\n"
-               "      \"wait_p50_s\": %s, \"wait_p95_s\": %s, "
-               "\"wait_p99_s\": %s,\n"
-               "      \"turnaround_p99_s\": %s, \"slowdown_p50\": %s, "
-               "\"slowdown_p99\": %s}%s\n",
-               key, fmt17(p.makespan_s).c_str(), p.jobs_done,
-               p.queue_depth_peak, fmt17(p.wait_p50).c_str(),
-               fmt17(p.wait_p95).c_str(), fmt17(p.wait_p99).c_str(),
-               fmt17(p.turnaround_p99).c_str(),
-               fmt17(p.slowdown_p50).c_str(), fmt17(p.slowdown_p99).c_str(),
-               suffix);
-}
-
-void write_json(const std::string& path,
-                const std::vector<ScalingRow>& scaling,
-                const std::vector<SweepRow>& sweep, const FarmSloOut& fifo,
-                const FarmSloOut& sjf, int laps) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fputs("{\n  \"schema\": \"psanim-bench-pr8-v1\",\n", f);
-  std::fprintf(f, "  \"workload\": {\"laps\": %d, \"sweep_scene\": "
-                  "\"snow 4x3000 x10f, 8*E800, fast-ethernet\"},\n", laps);
-  std::fputs("  \"rank_scaling\": [\n", f);
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    const auto& r = scaling[i];
-    std::fprintf(f,
-                 "    {\"world\": %d, \"core\": \"%s\", \"wall_ms\": %s, "
-                 "\"virtual_makespan_s\": %s}%s\n",
-                 r.world, r.core.c_str(), fmt17(r.wall_ms).c_str(),
-                 fmt17(r.makespan_s).c_str(),
-                 i + 1 < scaling.size() ? "," : "");
-  }
-  std::fputs("  ],\n  \"platform_sweep\": [\n", f);
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const auto& r = sweep[i];
-    std::fprintf(f,
-                 "    {\"platform\": \"%s\", \"makespan_run1_s\": %s, "
-                 "\"makespan_run2_s\": %s, \"fb_hash\": \"%016llx\",\n"
-                 "     \"cp_makespan_s\": %s, \"cp_compute_s\": %s, "
-                 "\"cp_wire_s\": %s, \"cp_wire_share\": %s}%s\n",
-                 r.platform.empty() ? "flat" : r.platform.c_str(),
-                 fmt17(r.run1.makespan_s).c_str(),
-                 fmt17(r.run2.makespan_s).c_str(),
-                 static_cast<unsigned long long>(r.run1.fb_hash),
-                 fmt17(r.run1.cp_makespan_s).c_str(),
-                 fmt17(r.run1.cp_compute_s).c_str(),
-                 fmt17(r.run1.cp_wire_s).c_str(),
-                 fmt17(r.run1.cp_wire_share).c_str(),
-                 i + 1 < sweep.size() ? "," : "");
-  }
-  std::fputs("  ],\n  \"farm_slo\": {\n", f);
-  jfarm(f, "fifo", fifo, ",");
-  jfarm(f, "sjf", sjf, "");
-  std::fputs("  }\n}\n", f);
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   int laps = 2;
-  std::string out;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--laps") == 0 && i + 1 < argc) {
       laps = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--laps N] [--out FILE]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--laps N]\n", argv[0]);
       return 2;
     }
   }
-  std::vector<ScalingRow> scaling;
 
   std::printf("# execution-core scaling: ring x%d + allgather\n", laps);
   std::printf("%6s  %-16s  %10s  %18s\n", "world", "core", "wall_ms",
               "virtual_makespan_s");
   for (const int world : {64, 256, 512, 1000}) {
-    double reference = -1.0;
     const auto emit = [&](const char* label, const Measured& m) {
       std::printf("%6d  %-16s  %10.2f  %18.9f\n", world, label, m.wall_ms,
                   m.makespan_s);
-      if (reference < 0.0) {
-        reference = m.makespan_s;
-      } else if (m.makespan_s != reference) {
-        std::fprintf(stderr,
-                     "FATAL: %s diverged at world %d (%.17g != %.17g)\n",
-                     label, world, m.makespan_s, reference);
-        std::exit(1);
-      }
-      scaling.push_back({world, label, m.wall_ms, m.makespan_s});
     };
     for (const int workers : {1, 2, 8}) {
       const std::string label = "fibers/w" + std::to_string(workers);
@@ -343,96 +159,21 @@ int main(int argc, char** argv) {
                   "-");
     }
   }
-  std::printf("# every row of a world must share one virtual makespan\n");
-
-  if (out.empty()) return 0;
 
   // Platform-topology sweep: same scene on the flat model and on each zone
-  // platform, every leg twice. The two runs of a leg must agree bit-for-bit
-  // (contention is deterministic), every leg must render the flat leg's
-  // pixels (delivery times never change content), and the slim fat-tree
-  // must separate measurably from flat (shared uplinks cost time).
+  // platform. Delivery times never change content, so every leg renders
+  // the flat leg's pixels; the zone platforms pay host links and shared
+  // uplinks, and the critical path attributes that to the wire.
   std::printf("\n# platform sweep: snow 4x3000 x10f, 8*E800, fast-ethernet\n");
   std::printf("%-14s  %18s  %16s  %10s\n", "platform", "virtual_makespan_s",
               "fb_hash", "wire_share");
-  std::vector<SweepRow> sweep;
   for (const std::string plat :
        {"", "crossbar", "fattree", "fattree-slim", "dragonfly", "wan2"}) {
-    SweepRow row;
-    row.platform = plat;
-    row.run1 = run_platform_leg(plat);
-    row.run2 = run_platform_leg(plat);
-    if (row.run1.makespan_s != row.run2.makespan_s ||
-        row.run1.fb_hash != row.run2.fb_hash ||
-        row.run1.cp_compute_s != row.run2.cp_compute_s ||
-        row.run1.cp_wire_s != row.run2.cp_wire_s) {
-      std::fprintf(stderr,
-                   "FATAL: platform '%s' is not reproducible "
-                   "(%.17g != %.17g, cp wire %.17g != %.17g)\n",
-                   plat.empty() ? "flat" : plat.c_str(),
-                   row.run1.makespan_s, row.run2.makespan_s,
-                   row.run1.cp_wire_s, row.run2.cp_wire_s);
-      return 1;
-    }
-    if (!sweep.empty() && row.run1.fb_hash != sweep.front().run1.fb_hash) {
-      std::fprintf(stderr,
-                   "FATAL: platform '%s' changed the rendered pixels\n",
-                   plat.c_str());
-      return 1;
-    }
+    const SweepLeg leg = run_platform_leg(plat);
     std::printf("%-14s  %18.9f  %016llx  %9.1f%%\n",
-                plat.empty() ? "flat" : plat.c_str(), row.run1.makespan_s,
-                static_cast<unsigned long long>(row.run1.fb_hash),
-                100.0 * row.run1.cp_wire_share);
-    sweep.push_back(std::move(row));
+                plat.empty() ? "flat" : plat.c_str(), leg.makespan_s,
+                static_cast<unsigned long long>(leg.fb_hash),
+                100.0 * leg.cp_wire_share);
   }
-  const auto find = [&](const char* name) -> const SweepRow& {
-    for (const auto& r : sweep) {
-      if (r.platform == name) return r;
-    }
-    std::fprintf(stderr, "FATAL: sweep missing platform '%s'\n", name);
-    std::exit(1);
-  };
-  if (find("fattree-slim").run1.makespan_s == find("").run1.makespan_s) {
-    std::fprintf(stderr,
-                 "FATAL: slim fat-tree did not separate from the flat "
-                 "model\n");
-    return 1;
-  }
-  // The observability acceptance gate: congested/long-haul topologies must
-  // surface as critical-path *wire* time, not as mystery compute. The flat
-  // model's wire share must sit strictly below the two-site WAN's.
-  if (!(find("").run1.cp_wire_share < find("wan2").run1.cp_wire_share)) {
-    std::fprintf(stderr,
-                 "FATAL: critical-path wire share did not rise from flat "
-                 "(%.17g) to wan2 (%.17g)\n",
-                 find("").run1.cp_wire_share,
-                 find("wan2").run1.cp_wire_share);
-    return 1;
-  }
-
-  // Farm SLO leg: FIFO vs SJF on the hetero scenario, reduced to the new
-  // exact-sample percentiles. SJF may delay the long job (that is the
-  // trade), but never past the FIFO schedule's own makespan.
-  std::printf("\n# farm SLO: fast quad + slow quad, 1 long + 5 short jobs\n");
-  const FarmSloOut fifo = run_farm_slo(farm::Policy::kFifo);
-  const FarmSloOut sjf = run_farm_slo(farm::Policy::kSjf);
-  std::printf("%-6s  %12s  %12s  %12s  %12s  %12s\n", "policy", "makespan_s",
-              "wait_p50_s", "wait_p99_s", "turn_p99_s", "slowdown_p99");
-  std::printf("%-6s  %12.6f  %12.6f  %12.6f  %12.6f  %12.4f\n", "fifo",
-              fifo.makespan_s, fifo.wait_p50, fifo.wait_p99,
-              fifo.turnaround_p99, fifo.slowdown_p99);
-  std::printf("%-6s  %12.6f  %12.6f  %12.6f  %12.6f  %12.4f\n", "sjf",
-              sjf.makespan_s, sjf.wait_p50, sjf.wait_p99, sjf.turnaround_p99,
-              sjf.slowdown_p99);
-  if (sjf.wait_p99 > fifo.makespan_s + 1e-12) {
-    std::fprintf(stderr,
-                 "FATAL: SJF p99 wait %.17g exceeds the FIFO makespan "
-                 "%.17g — the latency trade went past its bound\n",
-                 sjf.wait_p99, fifo.makespan_s);
-    return 1;
-  }
-
-  write_json(out, scaling, sweep, fifo, sjf, laps);
   return 0;
 }

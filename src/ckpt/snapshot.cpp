@@ -73,8 +73,12 @@ SnapshotReader::SnapshotReader(std::vector<std::byte> image)
                         std::to_string(version) + ", this build reads " +
                         std::to_string(kFormatVersion));
   }
-  hdr_.role = static_cast<Role>(u8());
-  u8();  // reserved
+  const auto role = u8();
+  if (role > static_cast<std::uint8_t>(Role::kCalculator)) {
+    throw SnapshotError("snapshot: unknown role " + std::to_string(role));
+  }
+  hdr_.role = static_cast<Role>(role);
+  if (u8() != 0) throw SnapshotError("snapshot: nonzero reserved byte");
   hdr_.rank = read(std::type_identity<std::int32_t>{});
   hdr_.frame = u32();
   hdr_.seed = read(std::type_identity<std::uint64_t>{});
@@ -82,6 +86,10 @@ SnapshotReader::SnapshotReader(std::vector<std::byte> image)
 
   for (std::uint32_t i = 0; i < hdr_.section_count; ++i) {
     const auto id = static_cast<SectionId>(u32());
+    if (has(id)) {
+      throw SnapshotError("snapshot: duplicate section " +
+                          std::to_string(static_cast<std::uint32_t>(id)));
+    }
     const auto size = read(std::type_identity<std::uint64_t>{});
     const auto crc = u32();
     if (size > image_.size() - pos) {
@@ -97,6 +105,10 @@ SnapshotReader::SnapshotReader(std::vector<std::byte> image)
     }
     spans_.push_back(Span{id, pos, static_cast<std::size_t>(size)});
     pos += static_cast<std::size_t>(size);
+  }
+  if (pos != image_.size()) {
+    throw SnapshotError("snapshot: " + std::to_string(image_.size() - pos) +
+                        " trailing bytes after the last section");
   }
 }
 

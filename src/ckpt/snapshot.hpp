@@ -59,7 +59,9 @@ class SnapshotWriter {
 class SnapshotReader {
  public:
   /// Takes ownership of a copy of the image; throws SnapshotError on bad
-  /// magic, version skew, truncation, or any section CRC mismatch.
+  /// magic, version skew, an unknown role, a nonzero reserved byte,
+  /// truncation, a duplicated section id, bytes after the last section,
+  /// or any section CRC mismatch.
   explicit SnapshotReader(std::vector<std::byte> image);
 
   const SnapshotHeader& header() const { return hdr_; }

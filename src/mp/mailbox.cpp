@@ -152,12 +152,14 @@ const Mailbox::Ring* Mailbox::find_match(int src, int tag) const {
   };
 
   if (src != kAny && tag != kAny) {
+    ++rings_examined_;
     const auto it = rings_.find(Key{src, tag});
     return (it != rings_.end() && !it->second.empty()) ? &it->second
                                                        : nullptr;
   }
   const Ring* best = nullptr;
   const auto consider = [&](const Ring& r) {
+    ++rings_examined_;
     if (r.empty()) return;
     if (best == nullptr || front_earlier(r.front(), best->front())) {
       best = &r;
@@ -233,6 +235,11 @@ bool Mailbox::probe(int src, int tag) const {
 std::size_t Mailbox::size() const {
   const std::scoped_lock lock(mu_);
   return total_;
+}
+
+std::uint64_t Mailbox::rings_examined() const {
+  const std::scoped_lock lock(mu_);
+  return rings_examined_;
 }
 
 }  // namespace psanim::mp

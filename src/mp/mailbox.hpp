@@ -76,6 +76,11 @@ class Mailbox {
   /// Number of queued messages (any filter).
   std::size_t size() const;
 
+  /// Rings the matcher has examined so far: one per exact (src, tag)
+  /// lookup, one per candidate stream a wildcard compares. A complexity
+  /// witness for tests; the runtime never reads it.
+  std::uint64_t rings_examined() const;
+
   /// Fiber-runtime integration: called (outside the internal lock) after
   /// every push, so a cooperative scheduler can wake the owning rank's
   /// suspended fiber instead of relying on the condition variable. Set
@@ -128,6 +133,7 @@ class Mailbox {
   std::size_t empty_rings_ = 0;
   std::size_t total_ = 0;
   std::uint64_t next_ord_ = 0;
+  mutable std::uint64_t rings_examined_ = 0;
 };
 
 }  // namespace psanim::mp

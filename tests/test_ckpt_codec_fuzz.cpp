@@ -1,7 +1,9 @@
 // Checkpoint state-codec robustness fuzz: seeded mutations over the
 // flight-ring codec (obs::decode_ring, the bounded record ring a rank
-// carries into each snapshot) and the particle-store codec
-// (ckpt::decode_store), in the test_wire_fuzz style. Every truncation,
+// carries into each snapshot), the particle-store codec
+// (ckpt::decode_store) and the snapshot container itself
+// (ckpt::SnapshotReader: header, section table, per-section CRC), in the
+// test_wire_fuzz style. Every truncation,
 // every single-bit flip and every absurd count either throws the
 // decoder's typed error or decodes to a value that round-trips through
 // its encoder. Nothing crashes, nothing is sized from an unchecked count
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "ckpt/format.hpp"
+#include "ckpt/snapshot.hpp"
 #include "ckpt/state_codec.hpp"
 #include "mp/message.hpp"
 #include "obs/flight_recorder.hpp"
@@ -227,7 +230,83 @@ Codec store_codec() {
   return c;
 }
 
-std::vector<Codec> codecs() { return {ring_codec(), store_codec()}; }
+// --- the snapshot container ---------------------------------------------
+
+// Header: magic u32, format byte, version, role, reserved (u8 each), rank
+// i32, frame u32, seed u64, section count u32; then per section an id
+// u32, a u64 payload size, a u32 CRC and the payload.
+constexpr std::size_t kRoleAt = 6;
+constexpr std::size_t kReservedAt = 7;
+constexpr std::size_t kRankAt = 8;
+constexpr std::size_t kSectionCountAt = 24;
+constexpr std::size_t kFirstSectionAt = 28;
+constexpr std::size_t kSectionHeadBytes = 4 + 8 + 4;
+
+struct SectionAt {
+  std::size_t offset;  ///< of the section's id field
+  std::uint64_t size;
+};
+
+/// Walk the section table of an image the reader has accepted.
+std::vector<SectionAt> sections_of(const Bytes& image) {
+  std::uint32_t n = 0;
+  std::memcpy(&n, image.data() + kSectionCountAt, sizeof n);
+  std::vector<SectionAt> out;
+  std::size_t pos = kFirstSectionAt;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    SectionAt s{pos, 0};
+    std::memcpy(&s.size, image.data() + pos + 4, sizeof s.size);
+    out.push_back(s);
+    pos += kSectionHeadBytes + static_cast<std::size_t>(s.size);
+  }
+  return out;
+}
+
+/// A calculator image with three sections, the middle one empty.
+Bytes snapshot_base() {
+  ckpt::SnapshotWriter w(ckpt::Role::kCalculator, 5, 12, 0x5EEDu);
+  auto& stores = w.begin_section(ckpt::SectionId::kStores);
+  for (std::uint32_t i = 0; i < 24; ++i) stores.put(i * 2654435761u);
+  w.begin_section(ckpt::SectionId::kClock);
+  auto& telemetry = w.begin_section(ckpt::SectionId::kTelemetry);
+  telemetry.put(1.25);
+  telemetry.put<std::uint8_t>(9);
+  return w.finish();
+}
+
+/// What the reader accepts it reads back exactly: its header and each
+/// section's payload, written again, give the same bytes. The header
+/// carries no checksum, so a flipped rank, frame, seed, role or section id
+/// reads back as what it now says (a restore's manifest digest over the
+/// whole image catches those); everything else is CRC- or bounds-checked.
+void snapshot_round_trip(const Bytes& bytes) {
+  const ckpt::SnapshotReader r(bytes);
+  const ckpt::SnapshotHeader& h = r.header();
+  ckpt::SnapshotWriter w(h.role, h.rank, h.frame, h.seed);
+  for (const SectionAt& s : sections_of(bytes)) {
+    std::uint32_t id = 0;
+    std::memcpy(&id, bytes.data() + s.offset, sizeof id);
+    mp::Reader payload = r.section(static_cast<ckpt::SectionId>(id));
+    mp::Writer& out = w.begin_section(static_cast<ckpt::SectionId>(id));
+    for (const std::byte b : payload.raw(payload.remaining())) out.put(b);
+  }
+  EXPECT_EQ(w.finish(), bytes);
+}
+
+Codec snapshot_codec() {
+  Codec c;
+  c.name = "snapshot container";
+  c.base = snapshot_base();
+  for (const SectionAt& s : sections_of(c.base)) {
+    c.count_offsets.push_back(s.offset + 4);  // the u64 payload sizes
+  }
+  c.decode_and_round_trip = snapshot_round_trip;
+  return c;
+}
+
+std::vector<Codec> codecs() {
+  return {ring_codec(), store_codec(), snapshot_codec()};
+}
 
 // --- the corpus ------------------------------------------------------------
 
@@ -342,6 +421,81 @@ TEST(CkptCodecFuzz, StoreRejectsUnorderedBoundsAndZeroSlices) {
     const std::uint64_t zero = 0;
     std::memcpy(m.data() + c.count_offsets[0], &zero, sizeof zero);
     EXPECT_EQ(run(c, m), Outcome::kRejected) << "zero slices";
+  }
+}
+
+TEST(CkptCodecFuzz, SnapshotFlipsOutsideTheUnguardedHeaderAreRejected) {
+  // Magic, format byte, version, reserved byte, section count, sizes,
+  // CRCs and payloads are all checked: a single flipped bit anywhere in
+  // them is refused. Only role, rank, frame, seed and section ids may read
+  // back (as the values they now hold).
+  const Codec c = snapshot_codec();
+  std::vector<bool> unguarded(c.base.size(), false);
+  for (std::size_t i = kRoleAt; i < kSectionCountAt; ++i) {
+    unguarded[i] = i != kReservedAt;
+  }
+  for (const SectionAt& s : sections_of(c.base)) {
+    for (std::size_t i = 0; i < 4; ++i) unguarded[s.offset + i] = true;
+  }
+  for (std::size_t bit = 0; bit < c.base.size() * 8; ++bit) {
+    if (unguarded[bit / 8]) continue;
+    Bytes m = c.base;
+    m[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+    EXPECT_EQ(run(c, m), Outcome::kRejected) << "bit " << bit;
+  }
+  for (std::size_t bit = kRankAt * 8; bit < kSectionCountAt * 8; ++bit) {
+    Bytes m = c.base;
+    m[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+    EXPECT_EQ(run(c, m), Outcome::kRoundTrip) << "bit " << bit;
+  }
+}
+
+TEST(CkptCodecFuzz, SnapshotAbsurdSectionCountsAreRejected) {
+  const Codec c = snapshot_codec();
+  for (const std::uint32_t n :
+       {std::numeric_limits<std::uint32_t>::max(), std::uint32_t{1} << 31,
+        std::uint32_t{1'000'000}, std::uint32_t{4}, std::uint32_t{2},
+        std::uint32_t{0}}) {
+    Bytes m = c.base;
+    std::memcpy(m.data() + kSectionCountAt, &n, sizeof n);
+    EXPECT_EQ(run(c, m), Outcome::kRejected) << "section_count " << n;
+  }
+}
+
+TEST(CkptCodecFuzz, SnapshotRejectsUnknownRoleDuplicateIdsAndTrailingBytes) {
+  const Codec c = snapshot_codec();
+  for (const std::uint8_t role : {std::uint8_t{3}, std::uint8_t{255}}) {
+    Bytes m = c.base;
+    m[kRoleAt] = static_cast<std::byte>(role);
+    EXPECT_EQ(run(c, m), Outcome::kRejected) << "role " << int{role};
+  }
+  {
+    Bytes m = c.base;
+    m[kReservedAt] = std::byte{1};
+    EXPECT_EQ(run(c, m), Outcome::kRejected) << "reserved byte";
+  }
+  {
+    // The last section relabelled as the first: both still pass their CRC,
+    // but an image must not answer one id with two payloads.
+    Bytes m = c.base;
+    const auto secs = sections_of(m);
+    std::memcpy(m.data() + secs.back().offset, m.data() + secs.front().offset,
+                sizeof(std::uint32_t));
+    EXPECT_EQ(run(c, m), Outcome::kRejected) << "duplicate section id";
+  }
+  {
+    Bytes m = c.base;
+    m.push_back(std::byte{0});
+    EXPECT_EQ(run(c, m), Outcome::kRejected) << "one trailing byte";
+  }
+  {
+    // A well-formed fourth section the count does not announce.
+    ckpt::SnapshotWriter extra(ckpt::Role::kCalculator, 5, 12, 0x5EEDu);
+    extra.begin_section(ckpt::SectionId::kLbState).put<std::uint32_t>(7);
+    const Bytes tail = extra.finish();
+    Bytes m = c.base;
+    m.insert(m.end(), tail.begin() + kFirstSectionAt, tail.end());
+    EXPECT_EQ(run(c, m), Outcome::kRejected) << "uncounted section";
   }
 }
 

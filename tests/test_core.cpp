@@ -4,16 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "core/decomposition.hpp"
 #include "core/exchange.hpp"
 #include "core/wire.hpp"
 #include "math/rng.hpp"
+#include "core/simulation.hpp"
+#include "mp/buffer_pool.hpp"
 #include "mp/runtime.hpp"
 #include "render/camera.hpp"
 #include "render/compare.hpp"
 #include "render/splat.hpp"
+#include "sim/run_config.hpp"
+#include "sim/scenario.hpp"
 
 namespace psanim::core {
 namespace {
@@ -195,6 +200,57 @@ TEST(Wire, FrameVerticesRoundTripCount) {
   const auto back = decode_frame_vertices(m, 9);
   ASSERT_EQ(back.size(), 100u);
   EXPECT_FLOAT_EQ(back[42].pos.x, 42.0f);
+}
+
+TEST(Wire, FrameVerticesMatchTheFieldByFieldLayout) {
+  // Oracle: the frame-vertex payload written one field at a time (header,
+  // frame, count, then x y z r g b size_q per vertex). The bulk packer
+  // must produce these exact bytes, and the payload view must read them
+  // back as unpack_vertex of each record.
+  const auto field_by_field = [](std::uint32_t frame,
+                                 const std::vector<RenderVertex>& verts) {
+    mp::Writer w;
+    put_control_header(w);
+    w.put(frame);
+    w.put<std::uint64_t>(verts.size());
+    for (const auto& v : verts) {
+      const PackedVertex p = pack_vertex(v);
+      w.put(p.x);
+      w.put(p.y);
+      w.put(p.z);
+      w.put(p.r);
+      w.put(p.g);
+      w.put(p.b);
+      w.put(p.size_q);
+    }
+    return w.take();
+  };
+  Rng rng(42);
+  std::vector<RenderVertex> verts;
+  for (int i = 0; i < 1000; ++i) {
+    Particle p;
+    p.pos = rng.in_box({-10, 0, -10}, {10, 10, 10});
+    p.color = {rng.next_float(), rng.next_float(), rng.next_float()};
+    p.alpha = rng.uniform(0.0f, 1.2f);
+    p.size = rng.uniform(0.0f, 0.7f);
+    verts.push_back(to_render_vertex(p));
+  }
+  const Bytes want = field_by_field(7, verts);
+  EXPECT_EQ(encode_frame_vertices(7, verts).take(), want);
+
+  mp::Message m;
+  m.payload = want;
+
+  const auto back = decode_frame_vertices(m, 7);
+  ASSERT_EQ(back.size(), verts.size());
+  for (std::size_t i = 0; i < verts.size(); ++i) {
+    const RenderVertex want = unpack_vertex(pack_vertex(verts[i]));
+    ASSERT_EQ(std::memcmp(&back[i].pos, &want.pos, sizeof want.pos), 0) << i;
+    ASSERT_EQ(std::memcmp(&back[i].color, &want.color, sizeof want.color), 0)
+        << i;
+    ASSERT_EQ(back[i].alpha, want.alpha) << i;
+    ASSERT_EQ(back[i].size, want.size) << i;
+  }
 }
 
 TEST(Wire, PackVertexMapsNonFiniteInputsToDefinedBytes) {
@@ -432,6 +488,80 @@ TEST(Exchange, MissingEotIsDetectedAsTimeout) {
                           [](psys::SystemId, std::vector<Particle>&&) {});
       }),
       mp::RecvTimeout);
+}
+
+// --- the buffer pool is host time only ---
+
+struct SceneOutcome {
+  double makespan_s = 0.0;
+  std::uint64_t fb_hash = 0;
+  std::size_t final_particles = 0;
+  std::uint64_t heap_allocs = 0;  ///< message-buffer pool misses
+};
+
+SceneOutcome run_scene(const Scene& scene, SpaceMode space, LbMode lb,
+                       bool pooled) {
+  sim::RunConfig cfg;
+  cfg.groups = {{cluster::NodeType::e800(), 2, 4}};
+  cfg.network = net::Interconnect::kMyrinet;
+  cfg.space = space;
+  cfg.lb = lb;
+  const sim::BuiltCluster bc = sim::build_cluster(cfg);
+  SimSettings settings;
+  settings.ncalc = bc.ncalc;
+  settings.frames = 8;
+  settings.space = space;
+  settings.lb = lb;
+  settings.image_width = 96;
+  settings.image_height = 72;
+
+  auto& pool = mp::BufferPool::global();
+  pool.trim();
+  pool.set_enabled(pooled);
+  pool.reset_stats();
+  const ParallelResult r =
+      run_parallel(scene, settings, bc.spec, bc.placement, {},
+                   mp::RuntimeOptions{.recv_timeout_s = 15.0});
+  SceneOutcome out;
+  out.heap_allocs = pool.stats().misses;
+  pool.set_enabled(true);
+  out.makespan_s = r.animation_s;
+  out.fb_hash = render::hash_framebuffer(r.final_frame);
+  for (const auto& sys : r.final_particles) out.final_particles += sys.size();
+  return out;
+}
+
+TEST(BufferPool, PoolOffLeavesSceneResultsBitIdentical) {
+  // The reduced table 1 snow (finite space, dynamic LB) and table 3
+  // fountain (infinite space, static LB) scenes with the pool on and off:
+  // the same makespan to the bit, the same pixels and particle count, and
+  // at least twice the heap allocations without the pool.
+  sim::ScenarioParams params;
+  params.systems = 4;
+  params.particles_per_system = 800;
+  params.frames = 8;
+  const struct {
+    const char* name;
+    Scene scene;
+    SpaceMode space;
+    LbMode lb;
+  } cases[] = {
+      {"snow_fs_dlb", sim::make_snow_scene(params), SpaceMode::kFinite,
+       LbMode::kDynamicPairwise},
+      {"fountain_is_slb", sim::make_fountain_scene(params),
+       SpaceMode::kInfinite, LbMode::kStatic},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const SceneOutcome on = run_scene(c.scene, c.space, c.lb, true);
+    const SceneOutcome off = run_scene(c.scene, c.space, c.lb, false);
+    EXPECT_EQ(on.makespan_s, off.makespan_s);  // exact doubles
+    EXPECT_EQ(on.fb_hash, off.fb_hash);
+    EXPECT_EQ(on.final_particles, off.final_particles);
+    EXPECT_GT(on.final_particles, 0u);
+    EXPECT_GT(off.heap_allocs, 0u);
+    EXPECT_LE(2 * on.heap_allocs, off.heap_allocs);
+  }
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 #include "core/simulation.hpp"
 #include "core/wire.hpp"
 #include "farm/farm.hpp"
+#include "farm_printers.hpp"
 #include "farm/job.hpp"
 #include "obs/trace.hpp"
 #include "render/compare.hpp"
@@ -261,7 +262,8 @@ TEST_P(FarmPolicyTest, NeverOversubscribesAndQueueDrains) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, FarmPolicyTest,
-                         ::testing::Values(Policy::kFifo, Policy::kSjf));
+                         ::testing::Values(Policy::kFifo, Policy::kSjf),
+                         farm::policy_test_name);
 
 // --- determinism --------------------------------------------------------
 

@@ -22,6 +22,7 @@
 #include "cluster/cluster_spec.hpp"
 #include "farm/farm.hpp"
 #include "farm/job.hpp"
+#include "farm_printers.hpp"
 
 namespace psanim {
 namespace {

@@ -16,6 +16,7 @@
 #include "cluster/cluster_spec.hpp"
 #include "farm/farm.hpp"
 #include "farm/job.hpp"
+#include "farm_printers.hpp"
 #include "sim/scenario.hpp"
 
 namespace psanim {
@@ -109,9 +110,7 @@ TEST_P(FarmStress, TwoHundredJobsDrainDeterministically) {
 
 INSTANTIATE_TEST_SUITE_P(Policies, FarmStress,
                          ::testing::Values(Policy::kFifo, Policy::kSjf),
-                         [](const auto& info) {
-                           return info.param == Policy::kFifo ? "Fifo" : "Sjf";
-                         });
+                         farm::policy_test_name);
 
 }  // namespace
 }  // namespace psanim

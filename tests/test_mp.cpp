@@ -11,6 +11,7 @@
 #include <tuple>
 #include <utility>
 
+#include "core/wire.hpp"
 #include "mp/buffer_pool.hpp"
 #include "mp/collectives.hpp"
 #include "mp/communicator.hpp"
@@ -164,6 +165,48 @@ TEST(Mailbox, OutOfOrderArrivalsStillPopSorted) {
     prev = m.arrive_time;
   }
   EXPECT_EQ(box.size(), 0u);
+}
+
+TEST(Mailbox, ExactReceivesExamineOneRingWhateverElseIsQueued) {
+  // The protocol's known-sender receives must not pay for the depth of
+  // the inbox: with 512 other streams queued, every exact (src, tag) pop
+  // looks at exactly one ring. Counted, not timed, so the gate holds on
+  // any host.
+  constexpr int kSrcs = 64;
+  constexpr int kTags = 8;
+  constexpr int kPerStream = 4;
+  Mailbox box;
+  std::uint64_t seq = 0;
+  for (int k = 0; k < kPerStream; ++k) {
+    for (int src = 0; src < kSrcs; ++src) {
+      for (int tag = 0; tag < kTags; ++tag) {
+        box.push(make_msg(src, 200 + tag, 1e-6 * static_cast<double>(seq),
+                          seq));
+        ++seq;
+      }
+    }
+  }
+  const std::uint64_t before = box.rings_examined();
+  for (int k = 0; k < kPerStream; ++k) {
+    for (int src = kSrcs - 1; src >= 0; --src) {
+      for (int tag = 0; tag < kTags; ++tag) {
+        ASSERT_TRUE(box.try_pop_match(src, 200 + tag).has_value());
+      }
+    }
+  }
+  EXPECT_EQ(box.rings_examined() - before, seq);
+  EXPECT_EQ(box.size(), 0u);
+
+  // The witness sees scans: a full wildcard compares every stream.
+  for (int src = 0; src < kSrcs; ++src) {
+    for (int tag = 0; tag < kTags; ++tag) {
+      box.push(make_msg(src, 200 + tag, 1.0, seq++));
+    }
+  }
+  const std::uint64_t scan_from = box.rings_examined();
+  ASSERT_TRUE(box.try_pop_match(kAny, kAny).has_value());
+  EXPECT_EQ(box.rings_examined() - scan_from,
+            static_cast<std::uint64_t>(kSrcs * kTags));
 }
 
 TEST(Mailbox, ThreadedPushesAlwaysPopInVirtualOrder) {
@@ -343,6 +386,35 @@ TEST(BufferPool, SteadyStateMessagePathAllocatesZero) {
   EXPECT_GT(s.acquires, 0u);
   EXPECT_EQ(s.misses, 0u);
   EXPECT_EQ(s.releases, s.acquires);  // every buffer returned to the pool
+
+  // The crosser exchange's codec round trip (encode_batches -> payload ->
+  // decode_batches): warm, it allocates nothing with the pool on, and the
+  // same traffic with the pool off pays one heap allocation per acquire.
+  std::vector<core::SystemBatch> batches(1);
+  batches[0].particles.resize(4096);
+  for (std::size_t i = 0; i < batches[0].particles.size(); ++i) {
+    batches[0].particles[i].pos = {static_cast<float>(i), 1.0f, 2.0f};
+  }
+  auto round_trips = [&] {
+    for (int rep = 0; rep < 5; ++rep) {
+      Message m;
+      m.payload = core::encode_batches(3, batches).take();
+      ASSERT_EQ(core::decode_batches(m, 3).size(), 1u);
+    }
+  };
+  round_trips();  // warm the pool
+  pool.reset_stats();
+  round_trips();
+  const BufferPool::Stats pooled = pool.stats();
+  pool.set_enabled(false);
+  pool.reset_stats();
+  round_trips();
+  const BufferPool::Stats unpooled = pool.stats();
+  EXPECT_GT(pooled.acquires, 0u);
+  EXPECT_EQ(pooled.misses, 0u);
+  EXPECT_GT(unpooled.misses, 0u);
+  EXPECT_EQ(unpooled.misses, unpooled.acquires);  // every acquire allocates
+  EXPECT_LE(2 * pooled.misses, unpooled.misses);
   pool.set_enabled(was_enabled);
 }
 

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <stdexcept>
@@ -21,6 +22,8 @@
 #include "core/wire.hpp"
 #include "farm/farm.hpp"
 #include "mp/runtime.hpp"
+#include "obs/analysis.hpp"
+#include "obs/trace.hpp"
 #include "platform/disk.hpp"
 #include "platform/fabric.hpp"
 #include "platform/parse.hpp"
@@ -362,6 +365,29 @@ TEST(PlatformIntegration, TopologiesSeparateMeasurablyAndDeterministically) {
   // A WAN partition pays long-haul latency on every cross-site message.
   const auto wan = run(scene, settings, "wan:sites=2,link=fast-ethernet");
   EXPECT_GT(wan.animation_s, xbar.animation_s);
+}
+
+TEST(PlatformIntegration, CriticalPathChargesTheWanSlowdownToTheWire) {
+  // Traced flat and two-site WAN runs through obs::analyze: the critical
+  // path tiles the whole trace makespan (which the calculators' post-frame
+  // bookkeeping keeps at or past the animation finish), the wire share is
+  // a fraction, and the slower fabric shows up as a larger wire share
+  // rather than as unexplained compute.
+  const Scene scene = small_scene();
+  const auto traced = [&](const std::string& plat) {
+    SimSettings settings = small_settings();
+    obs::Trace trace;
+    settings.obs.trace = &trace;
+    const auto r = run(scene, settings, plat);
+    const obs::CriticalPath cp = obs::analyze(trace).critical_path;
+    const double tol = 1e-9 * std::max(1.0, cp.makespan_s);
+    EXPECT_NEAR(cp.compute_s + cp.wire_s, cp.makespan_s, tol) << plat;
+    EXPECT_GE(cp.makespan_s, r.animation_s - tol) << plat;
+    EXPECT_GE(cp.wire_share(), 0.0) << plat;
+    EXPECT_LE(cp.wire_share(), 1.0) << plat;
+    return cp.wire_share();
+  };
+  EXPECT_LT(traced(""), traced("wan:sites=2,link=fast-ethernet"));
 }
 
 TEST(PlatformIntegration, ExecutionCoresAgreeUnderContention) {
