@@ -1,11 +1,14 @@
 // Google-benchmark microbenches for the hot per-particle paths: action
 // application, sliced-store maintenance, spatial hashing, RNG and wire
-// packing. These measure REAL nanoseconds on the host (unlike the table
+// packing, plus checkpoint capture (CRC-32 and snapshot assembly). These measure REAL nanoseconds on the host (unlike the table
 // benches, which report virtual cluster time) — useful when tuning the
 // library itself.
 
 #include <benchmark/benchmark.h>
 
+#include "ckpt/format.hpp"
+#include "ckpt/snapshot.hpp"
+#include "ckpt/state_codec.hpp"
 #include "collide/pair_collide.hpp"
 #include "collide/spatial_hash.hpp"
 #include "core/wire.hpp"
@@ -187,6 +190,38 @@ void BM_ExchangeRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ExchangeRoundTrip)->Arg(1 << 10)->Arg(1 << 14);
+
+void BM_Crc32(benchmark::State& state) {
+  Rng rng(7);
+  std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)));
+  for (auto& b : buf) b = static_cast<std::byte>(rng.next_u64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ckpt::crc32(buf));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(1 << 10)->Arg(1 << 16);
+
+// One calculator capture: its store, a decomposition-sized section and the
+// clock, assembled into an image with its whole-image digest.
+void BM_SnapshotFinish(benchmark::State& state) {
+  psys::SlicedStore store(0, -10.0f, 10.0f, 8);
+  store.insert_batch(make_particles(static_cast<std::size_t>(state.range(0))));
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    ckpt::SnapshotWriter snap(ckpt::Role::kCalculator, 2, 7, 42);
+    ckpt::encode_store(snap.begin_section(ckpt::SectionId::kStores), store);
+    auto& decomps = snap.begin_section(ckpt::SectionId::kDecomps);
+    for (int i = 0; i < 16; ++i) decomps.put(static_cast<float>(i));
+    snap.begin_section(ckpt::SectionId::kClock).put(1.5);
+    const auto image = snap.finish();
+    benchmark::DoNotOptimize(snap.digest());
+    benchmark::DoNotOptimize(image.data());
+    bytes += static_cast<std::int64_t>(image.size());
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_SnapshotFinish)->Arg(1 << 8)->Arg(1 << 12);
 
 }  // namespace
 

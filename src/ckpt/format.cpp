@@ -1,33 +1,96 @@
 #include "ckpt/format.hpp"
 
 #include <array>
+#include <bit>
+#include <cstring>
 
 namespace psanim::ckpt {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+constexpr std::uint32_t kPoly = 0xEDB88320u;  // reflected IEEE 802.3
+
+// Slice-by-8: row 0 is the classic byte table; row k advances a byte's
+// contribution through k further zero bytes, so one step folds 8 input
+// bytes with 8 independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? kPoly ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr auto kCrcTable = make_crc_table();
+constexpr CrcTables kCrc = make_crc_tables();
+
+// a(x) * b(x) modulo the CRC polynomial, in the reflected bit order.
+constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t m = 1u << 31;
+  std::uint32_t p = 0;
+  for (;;) {
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1u) ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return p;
+}
+
+// kX2n[n] = x^(2^n) modulo the CRC polynomial.
+constexpr std::array<std::uint32_t, 32> make_x2n_table() {
+  std::array<std::uint32_t, 32> t{};
+  std::uint32_t p = 1u << 30;  // x^1
+  t[0] = p;
+  for (std::size_t n = 1; n < 32; ++n) t[n] = p = multmodp(p, p);
+  return t;
+}
+
+constexpr auto kX2n = make_x2n_table();
 
 }  // namespace
 
-std::uint32_t crc32(std::span<const std::byte> bytes) {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::byte b : bytes) {
-    c = kCrcTable[(c ^ static_cast<std::uint8_t>(b)) & 0xFFu] ^ (c >> 8);
+std::uint32_t crc32(std::span<const std::byte> bytes, std::uint32_t prev) {
+  // The 8-byte step reads its words in the image's (little-endian) order.
+  static_assert(std::endian::native == std::endian::little);
+  std::uint32_t c = ~prev;
+  const std::byte* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= c;
+    c = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^
+        kCrc[5][(lo >> 16) & 0xFFu] ^ kCrc[4][lo >> 24] ^
+        kCrc[3][hi & 0xFFu] ^ kCrc[2][(hi >> 8) & 0xFFu] ^
+        kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
   }
-  return c ^ 0xFFFFFFFFu;
+  for (; n > 0; ++p, --n) {
+    c = kCrc[0][(c ^ static_cast<std::uint8_t>(*p)) & 0xFFu] ^ (c >> 8);
+  }
+  return ~c;
+}
+
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b) {
+  // Shift crc_a past len_b bytes (x^(8 len_b)), then add crc_b.
+  std::uint32_t shift = 1u << 31;  // x^0
+  for (std::size_t k = 3; len_b != 0; len_b >>= 1, ++k) {
+    if (len_b & 1u) shift = multmodp(kX2n[k & 31], shift);
+  }
+  return multmodp(shift, crc_a) ^ crc_b;
 }
 
 }  // namespace psanim::ckpt

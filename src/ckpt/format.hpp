@@ -60,7 +60,14 @@ class SnapshotError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`.
-std::uint32_t crc32(std::span<const std::byte> bytes);
+/// CRC-32 (IEEE 802.3, reflected) over `bytes`. Passing the CRC of a
+/// preceding buffer as `prev` continues it: crc32(b, crc32(a)) is the CRC
+/// of a followed by b.
+std::uint32_t crc32(std::span<const std::byte> bytes, std::uint32_t prev = 0);
+
+/// The CRC of a followed by b, from crc_a = crc32(a), crc_b = crc32(b) and
+/// b's length alone, in O(log len_b) 32-bit steps (zlib's x^(2^n) form).
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b);
 
 }  // namespace psanim::ckpt

@@ -1,9 +1,8 @@
 #include "ckpt/replayer.hpp"
 
 #include <cstring>
-#include <span>
 
-#include "ckpt/format.hpp"
+#include "core/wire.hpp"
 
 namespace psanim::ckpt {
 
@@ -47,23 +46,13 @@ ReplayReport Replayer::verify(const Vault& vault,
   rep.manifest_complete = true;
 
   for (const auto& e : man->entries) {
-    const std::vector<std::byte>* image = vault.fetch(e.rank, snapshot_frame);
-    if (!image) {
-      rep.detail = "manifest lists rank " + std::to_string(e.rank) +
-                   " but its image is missing";
-      return rep;
-    }
-    if (image->size() != e.bytes) {
-      rep.detail = "rank " + std::to_string(e.rank) + " image is " +
-                   std::to_string(image->size()) + " bytes, manifest says " +
-                   std::to_string(e.bytes);
-      return rep;
-    }
-    const std::uint32_t crc =
-        crc32(std::span<const std::byte>(image->data(), image->size()));
-    if (crc != e.crc) {
-      rep.detail = "rank " + std::to_string(e.rank) +
-                   " image CRC does not match its sealed digest";
+    const Role role = e.rank == core::kManagerRank    ? Role::kManager
+                      : e.rank == core::kImageGenRank ? Role::kImageGen
+                                                      : Role::kCalculator;
+    try {
+      (void)open_image(vault, e, role, snapshot_frame, set_.seed);
+    } catch (const SnapshotError& err) {
+      rep.detail = err.what();
       return rep;
     }
   }

@@ -25,7 +25,8 @@ struct ReplayReport {
   std::uint32_t frames_replayed = 0;
   /// The vault holds a sealed manifest for the frame.
   bool manifest_complete = false;
-  /// Every manifest entry's image is present with matching size and CRC.
+  /// Every manifest entry's image is present with matching size and CRC,
+  /// and its header names the rank's role, the frame and the run's seed.
   bool images_verified = false;
   /// The resumed run's final framebuffer equals the original's bit-exactly.
   bool framebuffer_identical = false;
@@ -47,7 +48,7 @@ class Replayer {
            const cluster::CostModel& cost = {},
            mp::RuntimeOptions rt_options = {});
 
-  /// Audit the checkpoint at `snapshot_frame` (manifest + image CRCs),
+  /// Audit the checkpoint at `snapshot_frame` (manifest + ckpt::open_image),
   /// resume a run from it in a scratch copy of `vault`, and compare the
   /// final framebuffer bit-for-bit against `expected`.
   ReplayReport verify(const Vault& vault, std::uint32_t snapshot_frame,

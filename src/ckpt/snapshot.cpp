@@ -1,49 +1,69 @@
 #include "ckpt/snapshot.hpp"
 
+#include <array>
 #include <cstring>
 #include <string>
 #include <type_traits>
 
 namespace psanim::ckpt {
 
+namespace {
+
+constexpr std::size_t kSectionCountAt = 24;
+constexpr std::size_t kHeaderBytes = 28;
+constexpr std::size_t kSectionHeadBytes = 4 + 8 + 4;  // id, size, CRC
+
+}  // namespace
+
 SnapshotWriter::SnapshotWriter(Role role, int rank, std::uint32_t frame,
                                std::uint64_t seed) {
-  hdr_.role = role;
-  hdr_.rank = rank;
-  hdr_.frame = frame;
-  hdr_.seed = seed;
+  out_.put(kSnapshotMagic);
+  out_.put(kFormatMagicByte);
+  out_.put(kFormatVersion);
+  out_.put(static_cast<std::uint8_t>(role));
+  out_.put<std::uint8_t>(0);  // reserved
+  out_.put<std::int32_t>(rank);
+  out_.put(frame);
+  out_.put(seed);
+  out_.put<std::uint32_t>(0);  // section count, set by finish()
 }
 
 mp::Writer& SnapshotWriter::begin_section(SectionId id) {
-  sections_.emplace_back(id, mp::Writer{});
-  return sections_.back().second;
+  if (!sections_.empty()) close(sections_.back());
+  sections_.push_back(Section{out_.size(), 0, 0});
+  out_.put(static_cast<std::uint32_t>(id));
+  out_.put<std::uint64_t>(0);  // payload size and CRC, set by finish()
+  out_.put<std::uint32_t>(0);
+  return out_;
+}
+
+void SnapshotWriter::close(Section& s) {
+  const auto payload = std::span<const std::byte>(out_.bytes())
+                           .subspan(s.head_at + kSectionHeadBytes);
+  s.size = payload.size();
+  s.crc = crc32(payload);
+  // Fold the finished section head and payload into the tail CRC.
+  std::array<std::byte, kSectionHeadBytes> head{};
+  std::memcpy(head.data(), out_.bytes().data() + s.head_at, 4);
+  std::memcpy(head.data() + 4, &s.size, sizeof s.size);
+  std::memcpy(head.data() + 12, &s.crc, sizeof s.crc);
+  tail_crc_ = crc32_combine(crc32(head, tail_crc_), s.crc, s.size);
 }
 
 std::vector<std::byte> SnapshotWriter::finish() {
-  mp::Writer head;
-  head.put(kSnapshotMagic);
-  head.put(kFormatMagicByte);
-  head.put(kFormatVersion);
-  head.put(static_cast<std::uint8_t>(hdr_.role));
-  head.put<std::uint8_t>(0);  // reserved
-  head.put<std::int32_t>(hdr_.rank);
-  head.put(hdr_.frame);
-  head.put(hdr_.seed);
-  head.put<std::uint32_t>(static_cast<std::uint32_t>(sections_.size()));
-
-  std::vector<std::byte> out = head.take();
-  for (auto& [id, w] : sections_) {
-    const auto& payload = w.bytes();
-    mp::Writer sec;
-    sec.put(static_cast<std::uint32_t>(id));
-    sec.put<std::uint64_t>(payload.size());
-    sec.put(crc32(payload));
-    const auto& sec_bytes = sec.bytes();
-    out.insert(out.end(), sec_bytes.begin(), sec_bytes.end());
-    out.insert(out.end(), payload.begin(), payload.end());
+  if (!sections_.empty()) close(sections_.back());
+  std::vector<std::byte> image = out_.take();
+  const auto count = static_cast<std::uint32_t>(sections_.size());
+  std::memcpy(image.data() + kSectionCountAt, &count, sizeof count);
+  for (const Section& s : sections_) {
+    std::memcpy(image.data() + s.head_at + 4, &s.size, sizeof s.size);
+    std::memcpy(image.data() + s.head_at + 12, &s.crc, sizeof s.crc);
   }
   sections_.clear();
-  return out;
+  digest_ = crc32_combine(
+      crc32(std::span<const std::byte>(image).first(kHeaderBytes)),
+      tail_crc_, image.size() - kHeaderBytes);
+  return image;
 }
 
 SnapshotReader::SnapshotReader(std::vector<std::byte> image)

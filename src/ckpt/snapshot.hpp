@@ -4,6 +4,11 @@
 // into a self-describing byte image; SnapshotReader validates an image
 // (magic, version, per-section CRC) and hands out per-section readers.
 //
+// The writer CRCs each byte once. Sections are written in place into one
+// buffer; a section's CRC is taken when it closes, and digest() — the
+// CRC-32 of the whole image, which manifests record — is folded from the
+// header and section CRCs in finish(), not re-read from the image.
+//
 // Image layout (all little-endian PODs via mp::Writer):
 //
 //   u32  kSnapshotMagic
@@ -22,7 +27,6 @@
 //     payload
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "ckpt/format.hpp"
@@ -43,17 +47,34 @@ class SnapshotWriter {
   SnapshotWriter(Role role, int rank, std::uint32_t frame,
                  std::uint64_t seed);
 
-  /// Open a new section and return the writer for its payload. The
-  /// reference stays valid until finish() — sections live in a deque.
+  /// Close the open section, if any, open a new one and return the writer
+  /// for its payload. The writer appends to the image itself: fill one
+  /// section before beginning the next.
   mp::Writer& begin_section(SectionId id);
 
-  /// Assemble header + sections into the final image. The writer is spent
-  /// afterwards.
+  /// Close the last section and return the image. The writer is spent
+  /// afterwards, except for digest().
   std::vector<std::byte> finish();
 
+  /// CRC-32 of the whole image finish() returned (equal to crc32 over
+  /// it), computed in finish() without a second pass over the bytes.
+  std::uint32_t digest() const { return digest_; }
+
  private:
-  SnapshotHeader hdr_;
-  std::deque<std::pair<SectionId, mp::Writer>> sections_;
+  struct Section {
+    std::size_t head_at;  ///< offset of the section's id field
+    std::uint64_t size;
+    std::uint32_t crc;
+  };
+
+  void close(Section& s);
+
+  mp::Writer out_;
+  /// Every section begun; only the last can still be open.
+  std::vector<Section> sections_;
+  /// CRC of the bytes after the image header, section by section.
+  std::uint32_t tail_crc_ = 0;
+  std::uint32_t digest_ = 0;
 };
 
 class SnapshotReader {

@@ -1,5 +1,8 @@
 #include "ckpt/vault.hpp"
 
+#include <span>
+#include <string>
+
 namespace psanim::ckpt {
 
 Vault::Vault(const Vault& o) {
@@ -82,6 +85,48 @@ std::size_t Vault::total_bytes() const {
   std::size_t n = 0;
   for (const auto& [key, img] : images_) n += img.size();
   return n;
+}
+
+ManifestEntry sealed_entry(const Vault& vault, int rank,
+                           std::uint32_t frame) {
+  const auto man = vault.manifest(frame);
+  if (!man) {
+    throw SnapshotError("no sealed manifest for frame " +
+                        std::to_string(frame));
+  }
+  for (const ManifestEntry& e : man->entries) {
+    if (e.rank == rank) return e;
+  }
+  throw SnapshotError("the sealed manifest for frame " +
+                      std::to_string(frame) + " does not list rank " +
+                      std::to_string(rank));
+}
+
+SnapshotReader open_image(const Vault& vault, const ManifestEntry& digest,
+                          Role role, std::uint32_t frame,
+                          std::uint64_t seed) {
+  const std::string who = "rank " + std::to_string(digest.rank);
+  const std::vector<std::byte>* image = vault.fetch(digest.rank, frame);
+  if (!image) {
+    throw SnapshotError(who + ": no checkpoint image for frame " +
+                        std::to_string(frame));
+  }
+  if (image->size() != digest.bytes) {
+    throw SnapshotError(who + ": image is " + std::to_string(image->size()) +
+                        " bytes, its digest says " +
+                        std::to_string(digest.bytes));
+  }
+  if (crc32(std::span<const std::byte>(*image)) != digest.crc) {
+    throw SnapshotError(who + ": image CRC does not match its digest");
+  }
+  SnapshotReader snap(*image);
+  const SnapshotHeader& h = snap.header();
+  if (h.role != role || h.rank != digest.rank || h.frame != frame ||
+      h.seed != seed) {
+    throw SnapshotError(who + ": image header does not match the restoring "
+                              "role, rank, frame and seed");
+  }
+  return snap;
 }
 
 }  // namespace psanim::ckpt

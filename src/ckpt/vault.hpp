@@ -20,6 +20,8 @@
 #include <optional>
 #include <vector>
 
+#include "ckpt/snapshot.hpp"
+
 namespace psanim::ckpt {
 
 /// One rank's digest inside a sealed manifest.
@@ -64,5 +66,18 @@ class Vault {
   std::map<std::pair<int, std::uint32_t>, std::vector<std::byte>> images_;
   std::map<std::uint32_t, Manifest> manifests_;
 };
+
+/// `rank`'s entry in the sealed manifest for `frame`. Throws SnapshotError
+/// when the frame is not sealed or its manifest does not list the rank.
+ManifestEntry sealed_entry(const Vault& vault, int rank, std::uint32_t frame);
+
+/// Open the image `digest.rank` stored for `frame`, trusting none of it
+/// until it matches: its size and whole-image CRC-32 must equal `digest`
+/// (the image header has no checksum of its own, so this is what catches a
+/// flipped rank, frame, seed or section id), and its header must name
+/// `role`, `digest.rank`, `frame` and `seed`. Every restore goes through
+/// here. Throws SnapshotError on a missing image or any mismatch.
+SnapshotReader open_image(const Vault& vault, const ManifestEntry& digest,
+                          Role role, std::uint32_t frame, std::uint64_t seed);
 
 }  // namespace psanim::ckpt

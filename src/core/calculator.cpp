@@ -279,22 +279,23 @@ void Calculator::capture(mp::Endpoint& ep, std::uint32_t frame) {
                              set_.obs.trace->labels());
   }
   std::vector<std::byte> image = snap.finish();
-  const auto bytes = static_cast<std::uint64_t>(image.size());
-  const std::uint32_t crc =
-      ckpt::crc32(std::span<const std::byte>(image.data(), image.size()));
+  reported_ = ckpt::ManifestEntry{
+      .rank = ep.rank(),
+      .bytes = static_cast<std::uint64_t>(image.size()),
+      .crc = snap.digest(),
+  };
   // Writing the image to stable storage is part of the checkpoint's cost.
-  ep.charge_io(env_.disk.write_s(static_cast<std::size_t>(bytes)));
+  ep.charge_io(env_.disk.write_s(image.size()));
+  metrics_.on_snapshot(ep.clock().now() - capture_start, image.size());
   set_.ckpt_vault->store(ep.rank(), frame, std::move(image));
-  metrics_.on_snapshot(ep.clock().now() - capture_start,
-                       static_cast<std::size_t>(bytes));
   // Digest to the manager: the coordinator seals the frame's manifest only
   // once every participant's image is accounted for.
   mp::Writer w;
   put_control_header(w);
   w.put(frame);
   w.put<std::int32_t>(ep.rank());
-  w.put(bytes);
-  w.put(crc);
+  w.put(reported_->bytes);
+  w.put(reported_->crc);
   ep.send(kManagerRank, kTagCkptDigest, std::move(w));
 }
 
@@ -302,19 +303,12 @@ void Calculator::restore(mp::Endpoint& ep, std::uint32_t f0) {
   if (!set_.ckpt_vault) {
     throw ProtocolError("calculator: restart recovery needs a vault");
   }
-  const std::vector<std::byte>* image = set_.ckpt_vault->fetch(ep.rank(), f0);
-  if (!image) {
-    throw ProtocolError("calculator " + std::to_string(idx_) +
-                        ": no checkpoint image for frame " +
-                        std::to_string(f0));
+  if (!reported_) {
+    reported_ = ckpt::sealed_entry(*set_.ckpt_vault, ep.rank(), f0);
   }
-  ep.charge_io(env_.disk.read_s(image->size()));
-  ckpt::SnapshotReader snap(*image);
-  if (snap.header().role != ckpt::Role::kCalculator ||
-      snap.header().rank != ep.rank() || snap.header().frame != f0) {
-    throw ProtocolError("calculator " + std::to_string(idx_) +
-                        ": checkpoint header does not match rank/frame");
-  }
+  const ckpt::SnapshotReader snap = ckpt::open_image(
+      *set_.ckpt_vault, *reported_, ckpt::Role::kCalculator, f0, set_.seed);
+  ep.charge_io(env_.disk.read_s(static_cast<std::size_t>(reported_->bytes)));
   {
     auto r = snap.section(ckpt::SectionId::kStores);
     const auto n = r.get<std::uint64_t>();

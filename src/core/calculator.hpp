@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "ckpt/vault.hpp"
 #include "collide/spatial_hash.hpp"
 #include "core/decomposition.hpp"
 #include "core/frame_loop.hpp"
@@ -114,6 +115,11 @@ class Calculator {
   /// after every rollback/resume. The window-2 ack for frame f is consumed
   /// iff f - epoch_start_ >= 2.
   std::uint32_t epoch_start_ = 0;
+  /// The digest (size + CRC) of this rank's latest snapshot image: the one
+  /// it reported to the manager, or the sealed one it resumed from. A
+  /// rollback checks its image against it, because the manager may not
+  /// have sealed that frame yet.
+  std::optional<ckpt::ManifestEntry> reported_;
   /// Observability: span stream and this rank's metric updates.
   obs::RoleTracer tr_;
   obs::CalcMetrics metrics_;

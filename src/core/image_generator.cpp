@@ -13,6 +13,15 @@
 
 namespace psanim::core {
 
+render::Framebuffer draw_backdrop(const Scene& scene,
+                                  const render::Camera& cam) {
+  render::Framebuffer fb(cam.width(), cam.height());
+  fb.clear({0.02f, 0.02f, 0.03f});
+  render::draw_ground_grid(fb, cam, scene.space.lo.y, scene.look_radius * 1.2f,
+                           16, {0.18f, 0.2f, 0.22f});
+  return fb;
+}
+
 ImageGenerator::ImageGenerator(const SimSettings& settings, const Scene& scene,
                                RoleEnv env)
     : set_(settings),
@@ -21,16 +30,16 @@ ImageGenerator::ImageGenerator(const SimSettings& settings, const Scene& scene,
       cam_(render::Camera::framing(scene.look_center, scene.look_radius,
                                    settings.image_width,
                                    settings.image_height)),
+      backdrop_(draw_backdrop(scene, cam_)),
       fb_(settings.image_width, settings.image_height),
       crash_done_(static_cast<std::size_t>(settings.ncalc), 0),
       tr_(settings.obs.trace, kImageGenRank),
       metrics_{env.metrics} {}
 
 void ImageGenerator::render_externals(mp::Endpoint& ep) {
-  // §3.2.4: rendering external objects is the image generator's job.
-  render::draw_ground_grid(fb_, cam_, scene_.space.lo.y,
-                           scene_.look_radius * 1.2f, 16,
-                           {0.18f, 0.2f, 0.22f});
+  // §3.2.4: rendering external objects is the image generator's job. The
+  // backdrop holds them already drawn; the frame starts as a copy of it.
+  fb_ = backdrop_;
   // Charge roughly one splat per grid-line pixel.
   const auto px = static_cast<std::size_t>(
       34 * std::max(set_.image_width, set_.image_height));
@@ -72,7 +81,6 @@ void ImageGenerator::run(mp::Endpoint& ep) {
         ckpt::alive_for_exec(set_.fault_plan, set_.ckpt, frame, set_.ncalc);
     ep.charge(env_.cost->frame_overhead_s / env_.rate);
     auto frame_span = tr_.phase(ep.clock(), frame, "frame");
-    fb_.clear({0.02f, 0.02f, 0.03f});
     render_externals(ep);
 
     trace::ImageFrameStats is;
@@ -178,16 +186,18 @@ void ImageGenerator::capture(mp::Endpoint& ep, std::uint32_t frame) {
   std::vector<std::byte> image = snap.finish();
   ep.charge_io(env_.disk.write_s(image.size()));
   metrics_.on_snapshot(ep.clock().now() - capture_start, image.size());
-  const auto bytes = static_cast<std::uint64_t>(image.size());
-  const std::uint32_t crc =
-      ckpt::crc32(std::span<const std::byte>(image.data(), image.size()));
+  reported_ = ckpt::ManifestEntry{
+      .rank = ep.rank(),
+      .bytes = static_cast<std::uint64_t>(image.size()),
+      .crc = snap.digest(),
+  };
   set_.ckpt_vault->store(ep.rank(), frame, std::move(image));
   mp::Writer w;
   put_control_header(w);
   w.put(frame);
   w.put<std::int32_t>(ep.rank());
-  w.put(bytes);
-  w.put(crc);
+  w.put(reported_->bytes);
+  w.put(reported_->crc);
   ep.send(kManagerRank, kTagCkptDigest, std::move(w));
 }
 
@@ -195,17 +205,12 @@ void ImageGenerator::restore(mp::Endpoint& ep, std::uint32_t f0) {
   if (!set_.ckpt_vault) {
     throw ProtocolError("image generator: restart recovery needs a vault");
   }
-  const std::vector<std::byte>* image = set_.ckpt_vault->fetch(ep.rank(), f0);
-  if (!image) {
-    throw ProtocolError("image generator: no checkpoint image for frame " +
-                        std::to_string(f0));
+  if (!reported_) {
+    reported_ = ckpt::sealed_entry(*set_.ckpt_vault, ep.rank(), f0);
   }
-  ep.charge_io(env_.disk.read_s(image->size()));
-  ckpt::SnapshotReader snap(*image);
-  if (snap.header().role != ckpt::Role::kImageGen ||
-      snap.header().rank != ep.rank() || snap.header().frame != f0) {
-    throw ProtocolError("image generator: checkpoint header does not match");
-  }
+  const ckpt::SnapshotReader snap = ckpt::open_image(
+      *set_.ckpt_vault, *reported_, ckpt::Role::kImageGen, f0, set_.seed);
+  ep.charge_io(env_.disk.read_s(static_cast<std::size_t>(reported_->bytes)));
   {
     auto r = snap.section(ckpt::SectionId::kTelemetry);
     tel_ = ckpt::decode_telemetry(r);

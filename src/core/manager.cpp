@@ -1,7 +1,6 @@
 #include "core/manager.hpp"
 
 #include <algorithm>
-#include <span>
 #include <string>
 
 #include "ckpt/snapshot.hpp"
@@ -186,14 +185,14 @@ void Manager::checkpoint_phase(mp::Endpoint& ep, std::uint32_t frame) {
   std::vector<std::byte> image = snap.finish();
   ep.charge_io(env_.disk.write_s(image.size()));
   metrics_.on_snapshot(ep.clock().now() - capture_start, image.size());
-  ckpt::Manifest man;
-  man.frame = frame;
-  man.entries.push_back(ckpt::ManifestEntry{
+  reported_ = ckpt::ManifestEntry{
       .rank = ep.rank(),
       .bytes = static_cast<std::uint64_t>(image.size()),
-      .crc = ckpt::crc32(
-          std::span<const std::byte>(image.data(), image.size())),
-  });
+      .crc = snap.digest(),
+  };
+  ckpt::Manifest man;
+  man.frame = frame;
+  man.entries.push_back(*reported_);
   set_.ckpt_vault->store(ep.rank(), frame, std::move(image));
 
   // Collect every participant's digest — the image generator, then the
@@ -227,17 +226,12 @@ void Manager::restore(mp::Endpoint& ep, std::uint32_t f0) {
   if (!set_.ckpt_vault) {
     throw ProtocolError("manager: restart recovery needs a vault");
   }
-  const std::vector<std::byte>* image = set_.ckpt_vault->fetch(ep.rank(), f0);
-  if (!image) {
-    throw ProtocolError("manager: no checkpoint image for frame " +
-                        std::to_string(f0));
+  if (!reported_) {
+    reported_ = ckpt::sealed_entry(*set_.ckpt_vault, ep.rank(), f0);
   }
-  ep.charge_io(env_.disk.read_s(image->size()));
-  ckpt::SnapshotReader snap(*image);
-  if (snap.header().role != ckpt::Role::kManager ||
-      snap.header().rank != ep.rank() || snap.header().frame != f0) {
-    throw ProtocolError("manager: checkpoint header does not match");
-  }
+  const ckpt::SnapshotReader snap = ckpt::open_image(
+      *set_.ckpt_vault, *reported_, ckpt::Role::kManager, f0, set_.seed);
+  ep.charge_io(env_.disk.read_s(static_cast<std::size_t>(reported_->bytes)));
   {
     auto r = snap.section(ckpt::SectionId::kDecomps);
     const auto n = r.get<std::uint64_t>();

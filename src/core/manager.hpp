@@ -5,8 +5,10 @@
 // frame. It owns the authoritative copy of every system's decomposition.
 
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "ckpt/vault.hpp"
 #include "core/decomposition.hpp"
 #include "core/frame_loop.hpp"
 #include "core/wire.hpp"
@@ -68,6 +70,11 @@ class Manager {
   /// Crashes already handled (by calculator index) — replayed frames must
   /// not re-consume an obituary or re-run a recovery.
   std::vector<char> crash_done_;
+  /// The digest (size + CRC) of this rank's latest snapshot image: the one
+  /// it reported to the manager, or the sealed one it resumed from. A
+  /// rollback checks its image against it, because the manager may not
+  /// have sealed that frame yet.
+  std::optional<ckpt::ManifestEntry> reported_;
   /// Observability: span stream and this rank's metric updates.
   obs::RoleTracer tr_;
   obs::ManagerMetrics metrics_;

@@ -13,7 +13,6 @@
 #include "platform/fabric.hpp"
 #include "platform/parse.hpp"
 #include "psys/store.hpp"
-#include "render/objects.hpp"
 #include "render/splat.hpp"
 
 namespace psanim::core {
@@ -258,7 +257,8 @@ SequentialResult run_sequential(const Scene& scene,
   render::Camera cam = render::Camera::framing(
       scene.look_center, scene.look_radius, settings.image_width,
       settings.image_height);
-  render::Framebuffer fb(settings.image_width, settings.image_height);
+  const render::Framebuffer backdrop = draw_backdrop(scene, cam);
+  render::Framebuffer fb = backdrop;
 
   double clock = 0.0;
   for (std::uint32_t frame = 0; frame < settings.frames; ++frame) {
@@ -295,10 +295,7 @@ SequentialResult run_sequential(const Scene& scene,
       store.extract_outside();
     }
     // Render.
-    fb.clear({0.02f, 0.02f, 0.03f});
-    render::draw_ground_grid(fb, cam, scene.space.lo.y,
-                             scene.look_radius * 1.2f, 16,
-                             {0.18f, 0.2f, 0.22f});
+    fb = backdrop;
     const auto px = static_cast<std::size_t>(
         34 * std::max(settings.image_width, settings.image_height));
     clock += cost.compute_s(cost.render_cost, px, rate);

@@ -620,6 +620,88 @@ TEST(Suspend, StopAfterThenResumeIsBitIdenticalAcrossBothCores) {
   }
 }
 
+/// Byte offsets of every section id in an image the reader accepts.
+std::vector<std::size_t> section_id_offsets(const std::vector<std::byte>& im) {
+  std::uint32_t n = 0;
+  std::memcpy(&n, im.data() + 24, sizeof n);
+  std::vector<std::size_t> out;
+  std::size_t pos = 28;  // the first section's id
+  for (std::uint32_t i = 0; i < n; ++i) {
+    out.push_back(pos);
+    std::uint64_t size = 0;
+    std::memcpy(&size, im.data() + pos + 4, sizeof size);
+    pos += 4 + 8 + 4 + static_cast<std::size_t>(size);
+  }
+  return out;
+}
+
+TEST(Suspend, ResumeRejectsEveryFlipInTheHeaderAndTheSectionIds) {
+  // The image header (rank, frame, seed) and the section ids carry no
+  // checksum of their own; only the whole-image digest in the sealed
+  // manifest covers them. Every single-bit flip there in a vault-stored
+  // image must fail the resume with SnapshotError — including flips of
+  // the clock section's id, which no restore reads.
+  const Scene scene = chaos_scene(/*snow=*/false);
+  ckpt::Vault vault;
+  SimSettings first = chaos_settings();
+  first.ckpt.interval = 2;
+  first.ckpt_vault = &vault;
+  first.stop_after = 3;
+  (void)run(scene, first, mp::ExecMode::kFibers);
+
+  SimSettings second = chaos_settings();
+  second.ckpt.interval = 2;
+  second.resume_from = 3;
+  const auto resume = [&](const ckpt::Vault& v) {
+    ckpt::Vault scratch(v);
+    SimSettings s = second;
+    s.ckpt_vault = &scratch;
+    (void)run(scene, s, mp::ExecMode::kFibers);
+  };
+  EXPECT_NO_THROW(resume(vault));
+
+  // The manager's image: its restore fails first, and rank 0's error is
+  // the one a failed run rethrows.
+  const std::vector<std::byte> image = *vault.fetch(core::kManagerRank, 3);
+  std::vector<std::size_t> guarded;
+  for (std::size_t i = 8; i < 24; ++i) guarded.push_back(i);
+  for (const std::size_t at : section_id_offsets(image)) {
+    for (std::size_t i = 0; i < 4; ++i) guarded.push_back(at + i);
+  }
+  ASSERT_EQ(guarded.size(), 16u + 4u * 4u);  // decomps, lb, telemetry, clock
+  for (const std::size_t byte : guarded) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<std::byte> flipped = image;
+      flipped[byte] ^= static_cast<std::byte>(1u << bit);
+      ckpt::Vault v(vault);
+      v.store(core::kManagerRank, 3, std::move(flipped));
+      EXPECT_THROW(resume(v), ckpt::SnapshotError)
+          << "byte " << byte << " bit " << bit;
+    }
+  }
+
+  // The other roles open their images through the same check.
+  for (const int rank : {core::kImageGenRank, core::calc_rank(0),
+                         core::calc_rank(2)}) {
+    const ckpt::ManifestEntry entry = ckpt::sealed_entry(vault, rank, 3);
+    const ckpt::Role role = rank == core::kImageGenRank
+                                ? ckpt::Role::kImageGen
+                                : ckpt::Role::kCalculator;
+    EXPECT_NO_THROW(
+        (void)ckpt::open_image(vault, entry, role, 3, second.seed));
+    EXPECT_THROW(
+        (void)ckpt::open_image(vault, entry, role, 3, second.seed + 1),
+        ckpt::SnapshotError);
+    std::vector<std::byte> flipped = *vault.fetch(rank, 3);
+    flipped[section_id_offsets(flipped).back()] ^= std::byte{0x10};
+    ckpt::Vault v(vault);
+    v.store(rank, 3, std::move(flipped));
+    EXPECT_THROW((void)ckpt::open_image(v, entry, role, 3, second.seed),
+                 ckpt::SnapshotError)
+        << "rank " << rank;
+  }
+}
+
 TEST(Suspend, ValidateRejectsUnusableStopFrames) {
   SimSettings s = chaos_settings();
   s.ckpt.interval = 2;

@@ -11,9 +11,14 @@
 // from an exactly-sized buffer so an out-of-bounds read shows under ASan.
 // The corpus is generated in-process from fixed seeds (splitmix64), so
 // the suite is deterministic and nothing binary is committed.
+//
+// The checksum those images rest on is pinned here too: the slice-by-8
+// ckpt::crc32, its continuation seed, crc32_combine and the snapshot
+// writer's folded digest() all equal a bit-at-a-time CRC-32 oracle.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -496,6 +501,102 @@ TEST(CkptCodecFuzz, SnapshotRejectsUnknownRoleDuplicateIdsAndTrailingBytes) {
     Bytes m = c.base;
     m.insert(m.end(), tail.begin() + kFirstSectionAt, tail.end());
     EXPECT_EQ(run(c, m), Outcome::kRejected) << "uncounted section";
+  }
+}
+
+// --- the checksum ----------------------------------------------------------
+
+/// CRC-32 one bit at a time, straight from the reflected polynomial: the
+/// oracle the table-driven crc32 must equal.
+std::uint32_t crc32_oracle(std::span<const std::byte> bytes) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::byte b : bytes) {
+    c ^= static_cast<std::uint8_t>(b);
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::byte>(rng.next());
+  return out;
+}
+
+std::span<const std::byte> view(const Bytes& b, std::size_t off,
+                                std::size_t len) {
+  return std::span<const std::byte>(b).subspan(off, len);
+}
+
+TEST(CkptCodecFuzz, CrcMatchesTheBitwiseOracleAtEveryLengthAndOffset) {
+  Rng rng{0xC12C};
+  const Bytes buf = random_bytes(rng, 8 + 64);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(ckpt::crc32(view(buf, off, len)),
+                crc32_oracle(view(buf, off, len)))
+          << "offset " << off << " length " << len;
+    }
+  }
+  for (int trial = 0; trial < 24; ++trial) {
+    const Bytes big = random_bytes(rng, 1 + rng.below(100'000));
+    const std::size_t off = rng.below(std::min<std::size_t>(big.size(), 8));
+    EXPECT_EQ(ckpt::crc32(view(big, off, big.size() - off)),
+              crc32_oracle(view(big, off, big.size() - off)))
+        << big.size() << " bytes at offset " << off;
+  }
+}
+
+TEST(CkptCodecFuzz, CrcContinuesAcrossBuffersAndCombines) {
+  Rng rng{0xC0B1};
+  const Bytes all = random_bytes(rng, 4096);
+  const auto whole = [&](std::size_t n) { return crc32_oracle(view(all, 0, n)); };
+  std::vector<std::pair<std::size_t, std::size_t>> cuts;  // (len_a, len_b)
+  for (const std::size_t a : {0u, 1u, 7u, 8u, 9u, 100u}) {
+    for (const std::size_t b : {0u, 1u, 3u, 8u, 15u, 64u, 1000u}) {
+      cuts.emplace_back(a, b);
+    }
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t a = rng.below(2049);
+    cuts.emplace_back(a, rng.below(all.size() - a + 1));
+  }
+  for (const auto& [len_a, len_b] : cuts) {
+    const auto a = view(all, 0, len_a);
+    const auto b = view(all, len_a, len_b);
+    EXPECT_EQ(ckpt::crc32(b, ckpt::crc32(a)), whole(len_a + len_b))
+        << "continue " << len_a << " + " << len_b;
+    EXPECT_EQ(ckpt::crc32_combine(ckpt::crc32(a), ckpt::crc32(b), len_b),
+              whole(len_a + len_b))
+        << "combine " << len_a << " + " << len_b;
+  }
+}
+
+TEST(CkptCodecFuzz, SnapshotDigestIsTheCrcOfTheWholeImage) {
+  Rng rng{0xD16E};
+  // No sections, one empty section, empty sections between full ones, and
+  // many sections of random size.
+  std::vector<std::vector<std::size_t>> shapes = {
+      {}, {0}, {0, 0, 0}, {5, 0, 17, 0}, {1}, {8}, {4096}};
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<std::size_t> sizes(1 + rng.below(40));
+    for (auto& n : sizes) n = rng.below(3) == 0 ? 0 : rng.below(3000);
+    shapes.push_back(std::move(sizes));
+  }
+  for (const auto& sizes : shapes) {
+    ckpt::SnapshotWriter w(ckpt::Role::kCalculator, 3,
+                           static_cast<std::uint32_t>(rng.below(1000)),
+                           rng.next());
+    std::uint32_t id = 0;
+    for (const std::size_t n : sizes) {
+      mp::Writer& out = w.begin_section(static_cast<ckpt::SectionId>(++id));
+      for (const std::byte b : random_bytes(rng, n)) out.put(b);
+    }
+    const Bytes image = w.finish();
+    EXPECT_EQ(w.digest(), crc32_oracle(image))
+        << sizes.size() << " sections, " << image.size() << " bytes";
+    const ckpt::SnapshotReader r(image);  // and the image still reads
+    EXPECT_EQ(r.header().section_count, sizes.size());
   }
 }
 

@@ -1,9 +1,14 @@
 // Tests for the software renderer: color math, framebuffer blending and
 // depth, camera projection, splatting, image I/O, comparison utilities and
-// the sort-last compositor's equivalence with single-pass rendering.
+// the sort-last compositor's equivalence with single-pass rendering, and
+// the image generator's cached backdrop.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
+#include "core/image_generator.hpp"
 #include "math/rng.hpp"
 #include "render/camera.hpp"
 #include "render/compare.hpp"
@@ -263,6 +268,53 @@ TEST(Objects, BoxAndSphereDraw) {
   std::size_t lit = 0;
   for (const auto& c : fb.colors()) lit += luminance(c) > 0 ? 1 : 0;
   EXPECT_GT(lit, 30u);
+}
+
+TEST(Objects, CachedBackdropEqualsAFreshClearAndGroundGrid) {
+  // A frame is the backdrop copied over whatever the last frame left,
+  // which must equal clearing it and drawing the grid again.
+  struct View {
+    Vec3 center;
+    float radius;
+    float ground;
+  };
+  for (const View v : {View{{0, 5, 0}, 10.0f, 0.0f},
+                       View{{2, -1, 3}, 4.0f, -2.5f}}) {
+    for (const auto& [w, h] : {std::pair{64, 48}, std::pair{200, 120}}) {
+      core::Scene scene;
+      scene.space = Aabb({-10, v.ground, -10}, {10, 20, 10});
+      scene.look_center = v.center;
+      scene.look_radius = v.radius;
+      const Camera cam = Camera::framing(v.center, v.radius, w, h);
+      const Framebuffer backdrop = core::draw_backdrop(scene, cam);
+
+      Framebuffer frame(w, h);
+      frame.put(w / 2, h / 2, {1, 1, 1}, 0.25f);
+      frame.add(1, 1, {3, 2, 1}, 1.0f);
+      frame = backdrop;
+
+      Framebuffer fresh(w, h);
+      fresh.clear({0.02f, 0.02f, 0.03f});
+      draw_ground_grid(fresh, cam, v.ground, v.radius * 1.2f, 16,
+                       {0.18f, 0.2f, 0.22f});
+
+      SCOPED_TRACE(::testing::Message() << w << "x" << h << " radius "
+                                        << v.radius);
+      ASSERT_EQ(frame.pixel_count(), fresh.pixel_count());
+      EXPECT_EQ(std::memcmp(frame.colors().data(), fresh.colors().data(),
+                            fresh.pixel_count() * sizeof(Color)),
+                0);
+      EXPECT_EQ(std::memcmp(frame.depths().data(), fresh.depths().data(),
+                            fresh.pixel_count() * sizeof(float)),
+                0);
+      // Not vacuous: the grid wrote depth-tested pixels.
+      std::size_t drawn = 0;
+      for (const float z : fresh.depths()) {
+        drawn += z < std::numeric_limits<float>::infinity() ? 1 : 0;
+      }
+      EXPECT_GT(drawn, 50u);
+    }
+  }
 }
 
 }  // namespace

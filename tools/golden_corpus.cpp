@@ -1,6 +1,8 @@
 // Golden determinism corpus: per-seed framebuffer fingerprints over a
 // 16-seed x {snow, fountain} x {static, dynamic-pairwise} grid of small
-// parallel runs.
+// parallel runs, plus 16 snow/dynamic-pairwise runs in sort-last mode
+// (calculators render partial images that the image generator composites
+// over its backdrop).
 //
 // The corpus file is committed (tests/golden/determinism_corpus.txt) and
 // pins the simulation's bit-exact behavior: any change to RNG streams,
@@ -16,6 +18,9 @@
 // `generate` is only rerun deliberately, when a change is *supposed* to
 // alter results (new RNG layout, renderer change); the diff then documents
 // exactly which cells moved.
+//
+// A subset of N replays every (cells/N)-th cell; the fast tier's N = 5
+// hits the first cell of each of the five blocks.
 //
 // `--exec-mode both` is the execution-core differential: every replayed
 // cell runs under the fiber scheduler AND the thread-per-rank oracle, and
@@ -48,6 +53,7 @@ struct Cell {
   std::string scene;  // "snow" | "fountain"
   std::string lb;     // "slb" | "dlb"
   std::uint64_t seed = 0;
+  bool sort_last = false;
 };
 
 std::vector<Cell> grid() {
@@ -58,6 +64,10 @@ std::vector<Cell> grid() {
         cells.push_back({scene, lb, kSeedBase + static_cast<std::uint64_t>(s)});
       }
     }
+  }
+  for (int s = 0; s < kSeeds; ++s) {
+    cells.push_back(
+        {"snow", "dlb", kSeedBase + static_cast<std::uint64_t>(s), true});
   }
   return cells;
 }
@@ -83,6 +93,7 @@ RunOut run_cell(const Cell& cell,
   settings.image_height = 48;
   settings.lb =
       cell.lb == "slb" ? core::LbMode::kStatic : core::LbMode::kDynamicPairwise;
+  if (cell.sort_last) settings.imgen = core::ImageGenMode::kSortLast;
 
   sim::RunConfig cfg;
   cfg.groups = {{cluster::NodeType::e800(), 3, settings.ncalc}};
@@ -98,10 +109,11 @@ RunOut run_cell(const Cell& cell,
 std::string line_for(const Cell& cell, const RunOut& out) {
   char buf[160];
   std::snprintf(buf, sizeof buf,
-                "scene=%s lb=%s seed=%" PRIu64 " fb=%016" PRIx64
+                "scene=%s lb=%s%s seed=%" PRIu64 " fb=%016" PRIx64
                 " makespan=%.17g",
-                cell.scene.c_str(), cell.lb.c_str(), cell.seed, out.fb_hash,
-                out.makespan_s);
+                cell.scene.c_str(), cell.lb.c_str(),
+                cell.sort_last ? " imgen=sortlast" : "", cell.seed,
+                out.fb_hash, out.makespan_s);
   return buf;
 }
 
@@ -112,9 +124,10 @@ int generate(const std::string& path) {
     return 2;
   }
   out << "# psanim golden determinism corpus\n"
-      << "# 16 seeds x {snow, fountain} x {slb, dlb}; 2 systems, 400\n"
-      << "# particles/system, 6 frames, ncalc 3, 64x48 frame. Regenerate\n"
-      << "# with: golden_corpus generate <this file>\n";
+      << "# 16 seeds x {snow, fountain} x {slb, dlb}, then 16 seeds of\n"
+      << "# snow/dlb in sort-last mode; 2 systems, 400 particles/system,\n"
+      << "# 6 frames, ncalc 3, 64x48 frame. Regenerate with:\n"
+      << "# golden_corpus generate <this file>\n";
   for (const Cell& cell : grid()) {
     out << line_for(cell, run_cell(cell)) << "\n";
   }
