@@ -221,7 +221,7 @@ void BM_SnapshotFinish(benchmark::State& state) {
   }
   state.SetBytesProcessed(bytes);
 }
-BENCHMARK(BM_SnapshotFinish)->Arg(1 << 8)->Arg(1 << 12);
+BENCHMARK(BM_SnapshotFinish)->Arg(1 << 2)->Arg(1 << 8)->Arg(1 << 12);
 
 }  // namespace
 

@@ -32,17 +32,23 @@ constexpr CrcTables make_crc_tables() {
 
 constexpr CrcTables kCrc = make_crc_tables();
 
-// a(x) * b(x) modulo the CRC polynomial, in the reflected bit order.
+// a(x) * b(x) modulo the CRC polynomial, in the reflected bit order (bit 31
+// is x^0). Horner over a's four bytes, highest powers first: the partial
+// product moves up by x^8 with one byte-table lookup, then takes that byte
+// of a times b from b's eight precomputed shifts. Masks instead of
+// branches: the bit-serial loop this replaces mispredicted on every other
+// bit of a.
 constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
-  std::uint32_t m = 1u << 31;
+  std::array<std::uint32_t, 8> bx{};  // bx[i] = b * x^i
+  for (auto& v : bx) {
+    v = b;
+    b = (b >> 1) ^ (kPoly & (0u - (b & 1u)));
+  }
   std::uint32_t p = 0;
-  for (;;) {
-    if (a & m) {
-      p ^= b;
-      if ((a & (m - 1)) == 0) break;
-    }
-    m >>= 1;
-    b = (b & 1u) ? (b >> 1) ^ kPoly : b >> 1;
+  for (int j = 0; j < 32; j += 8) {
+    p = (p >> 8) ^ kCrc[0][p & 0xFFu];  // p * x^8
+    const std::uint32_t byte = (a >> j) & 0xFFu;  // x^(24-j) .. x^(31-j)
+    for (int i = 0; i < 8; ++i) p ^= bx[i] & (0u - ((byte >> (7 - i)) & 1u));
   }
   return p;
 }
@@ -57,6 +63,23 @@ constexpr std::array<std::uint32_t, 32> make_x2n_table() {
 }
 
 constexpr auto kX2n = make_x2n_table();
+
+// kX8n[j][v] = x^(8 v 256^j): the shift past v * 256^j zero bytes, so a
+// length below 4 GiB costs one product per nonzero byte of it.
+using ShiftTables = std::array<std::array<std::uint32_t, 256>, 4>;
+
+constexpr ShiftTables make_x8n_tables() {
+  ShiftTables t{};
+  std::uint32_t step = 1u << 23;  // x^8
+  for (auto& row : t) {
+    row[0] = 1u << 31;  // x^0
+    for (std::size_t v = 1; v < 256; ++v) row[v] = multmodp(row[v - 1], step);
+    step = multmodp(row[255], step);  // x^(8 256^(j+1))
+  }
+  return t;
+}
+
+constexpr ShiftTables kX8n = make_x8n_tables();
 
 }  // namespace
 
@@ -86,8 +109,13 @@ std::uint32_t crc32(std::span<const std::byte> bytes, std::uint32_t prev) {
 std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
                             std::uint64_t len_b) {
   // Shift crc_a past len_b bytes (x^(8 len_b)), then add crc_b.
-  std::uint32_t shift = 1u << 31;  // x^0
-  for (std::size_t k = 3; len_b != 0; len_b >>= 1, ++k) {
+  std::uint32_t shift = kX8n[0][len_b & 0xFFu];
+  len_b >>= 8;
+  for (std::size_t j = 1; j < 4 && len_b != 0; ++j, len_b >>= 8) {
+    if (len_b & 0xFFu) shift = multmodp(kX8n[j][len_b & 0xFFu], shift);
+  }
+  // Lengths of 4 GiB and more: bit n of the rest is x^(2^(n + 35)).
+  for (std::size_t k = 35; len_b != 0; len_b >>= 1, ++k) {
     if (len_b & 1u) shift = multmodp(kX2n[k & 31], shift);
   }
   return multmodp(shift, crc_a) ^ crc_b;

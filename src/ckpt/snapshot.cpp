@@ -12,6 +12,10 @@ namespace {
 constexpr std::size_t kSectionCountAt = 24;
 constexpr std::size_t kHeaderBytes = 28;
 constexpr std::size_t kSectionHeadBytes = 4 + 8 + 4;  // id, size, CRC
+// Payloads shorter than this are CRC'd a second time into the tail
+// instead of combined: below it a pass over the bytes is cheaper than a
+// crc32_combine.
+constexpr std::size_t kCombineFrom = 64;
 
 }  // namespace
 
@@ -47,7 +51,10 @@ void SnapshotWriter::close(Section& s) {
   std::memcpy(head.data(), out_.bytes().data() + s.head_at, 4);
   std::memcpy(head.data() + 4, &s.size, sizeof s.size);
   std::memcpy(head.data() + 12, &s.crc, sizeof s.crc);
-  tail_crc_ = crc32_combine(crc32(head, tail_crc_), s.crc, s.size);
+  tail_crc_ = crc32(head, tail_crc_);
+  tail_crc_ = s.size < kCombineFrom
+                  ? crc32(payload, tail_crc_)
+                  : crc32_combine(tail_crc_, s.crc, s.size);
 }
 
 std::vector<std::byte> SnapshotWriter::finish() {

@@ -1,6 +1,5 @@
 #include "mp/fiber.hpp"
 
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <sys/mman.h>
@@ -9,6 +8,7 @@
 #include <cerrno>
 #include <condition_variable>
 #include <cstdlib>
+#include <iterator>
 #include <mutex>
 #include <queue>
 #include <stdexcept>
@@ -53,7 +53,25 @@ void __sanitizer_start_switch_fiber(void** fake_stack_save,
 void __sanitizer_finish_switch_fiber(void* fake_stack_save,
                                      const void** bottom_old,
                                      std::size_t* size_old);
+void __asan_unpoison_memory_region(void const volatile* addr,
+                                   std::size_t size);
 }
+#endif
+
+// --- context switch ---------------------------------------------------------
+//
+// x86-64 uses the hand-written switch in fiber_switch_x86_64.S; every other
+// target keeps ucontext. The choice is made here, at compile time.
+
+#if defined(__x86_64__)
+#define PSANIM_ASM_FIBER_SWITCH 1
+extern "C" {
+void psanim_fiber_switch(void** save_sp, void* load_sp);
+void psanim_fiber_entry();
+std::uint64_t psanim_fiber_fp_control();
+}
+#else
+#include <ucontext.h>
 #endif
 
 namespace psanim::mp {
@@ -79,6 +97,127 @@ std::size_t round_up_pages(std::size_t bytes) {
   return (bytes + ps - 1) / ps * ps;
 }
 
+/// A suspended execution context: where to switch to, to resume it.
+struct Context {
+#if defined(PSANIM_ASM_FIBER_SWITCH)
+  void* sp = nullptr;
+#else
+  ucontext_t uc{};
+#endif
+};
+
+/// Save the running context into `from` and resume `to`.
+inline void jump(Context& from, Context& to) {
+#if defined(PSANIM_ASM_FIBER_SWITCH)
+  psanim_fiber_switch(&from.sp, to.sp);
+#else
+  ::swapcontext(&from.uc, &to.uc);
+#endif
+}
+
+/// One guard-paged stack mapping: [guard page][usable stack...].
+struct Stack {
+  std::byte* map_base = nullptr;
+  std::size_t map_bytes = 0;
+
+  std::byte* lo() const { return map_base + page_size(); }
+  std::size_t usable() const { return map_bytes - page_size(); }
+};
+
+/// The process-wide free list of fiber stacks, keyed by size. Mapping a
+/// stack costs mmap + mprotect and its first touches fault pages in; a
+/// farm launching thousands of small worlds pays that once per cached
+/// stack instead of once per rank per launch.
+class StackCache {
+ public:
+  StackCache() = default;
+  StackCache(const StackCache&) = delete;
+  StackCache& operator=(const StackCache&) = delete;
+  ~StackCache() {
+    for (const Stack& s : free_) ::munmap(s.map_base, s.map_bytes);
+  }
+
+  Stack acquire(std::size_t usable_bytes) {
+    const std::size_t map_bytes = page_size() + usable_bytes;
+    {
+      const std::scoped_lock lock(mu_);
+      // Newest first: its pages are the likeliest to still be warm.
+      for (auto it = free_.rbegin(); it != free_.rend(); ++it) {
+        if (it->map_bytes != map_bytes) continue;
+        const Stack s = *it;
+        free_.erase(std::next(it).base());
+        ++stats_.reuses;
+        return s;
+      }
+    }
+    const Stack s = map(map_bytes);
+    const std::scoped_lock lock(mu_);
+    ++stats_.maps;
+    return s;
+  }
+
+  void release(const Stack& s) {
+    // A fiber never returns from its last switch, so its frames' ASan
+    // redzones stay poisoned. Clear them before the stack is reused, or
+    // unmapped: a later mapping at the same address would inherit them.
+#if defined(PSANIM_ASAN_FIBERS)
+    __asan_unpoison_memory_region(s.lo(), s.usable());
+#endif
+    {
+      const std::scoped_lock lock(mu_);
+      if (free_.size() < kFiberStackCacheCap) {
+        free_.push_back(s);
+        return;
+      }
+    }
+    ::munmap(s.map_base, s.map_bytes);
+  }
+
+  FiberStackStats stats() {
+    const std::scoped_lock lock(mu_);
+    FiberStackStats out = stats_;
+    out.cached = free_.size();
+    return out;
+  }
+
+ private:
+  static Stack map(std::size_t map_bytes) {
+#if defined(MAP_STACK)
+    constexpr int extra_flags = MAP_STACK;
+#else
+    constexpr int extra_flags = 0;
+#endif
+    void* base = ::mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | extra_flags, -1, 0);
+    if (base == MAP_FAILED) {
+      throw std::system_error(errno, std::generic_category(),
+                              "FiberScheduler: mmap of a fiber stack failed "
+                              "(lower RuntimeOptions::fiber_stack_bytes or "
+                              "the world size)");
+    }
+    // Guard page at the low end: stack overflow faults loudly instead of
+    // silently corrupting the neighboring fiber's stack. It stays armed
+    // while the stack sits in the cache.
+    if (::mprotect(base, page_size(), PROT_NONE) != 0) {
+      const int err = errno;
+      ::munmap(base, map_bytes);
+      throw std::system_error(err, std::generic_category(),
+                              "FiberScheduler: mprotect of a fiber stack "
+                              "guard page failed");
+    }
+    return Stack{static_cast<std::byte*>(base), map_bytes};
+  }
+
+  std::mutex mu_;
+  std::vector<Stack> free_;
+  FiberStackStats stats_;
+};
+
+StackCache& stack_cache() {
+  static StackCache cache;
+  return cache;
+}
+
 }  // namespace
 
 std::size_t default_fiber_stack_bytes() {
@@ -89,8 +228,10 @@ std::size_t default_fiber_stack_bytes() {
   return sanitizer_build() ? 512u * 1024u : 256u * 1024u;
 }
 
-/// One rank's execution context: a guard-paged mmap stack plus the
-/// ucontext it is suspended in.
+FiberStackStats fiber_stack_stats() { return stack_cache().stats(); }
+
+/// One rank's execution context: a guard-paged stack plus the context it
+/// is suspended in.
 struct Fiber {
   enum class State : std::uint8_t {
     kReady,     ///< in the ready queue (or being handed to a worker)
@@ -101,7 +242,7 @@ struct Fiber {
 
   int rank = 0;
   State state = State::kReady;  // guarded by the scheduler mutex
-  ucontext_t ctx{};
+  Context ctx;
 
   // Block metadata, written by the fiber right before it suspends and
   // published to other threads by the worker's post-switch bookkeeping
@@ -116,11 +257,7 @@ struct Fiber {
   /// parked; the next suspension attempt re-checks the mailbox instead.
   bool wake_pending = false;
 
-  // mmap'd stack: [guard page][usable stack...]
-  std::byte* map_base = nullptr;
-  std::size_t map_bytes = 0;
-  std::byte* stack_lo = nullptr;  ///< above the guard page
-  std::size_t stack_bytes = 0;
+  Stack stack;  ///< from the stack cache; map_base null when not held
 
   const std::function<void(int)>* entry = nullptr;
   FiberScheduler::Impl* sched = nullptr;
@@ -184,41 +321,10 @@ struct FiberScheduler::Impl {
 
   // --- stack + context plumbing --------------------------------------------
 
-  void allocate(Fiber& f) {
-    const std::size_t guard = page_size();
-    f.map_bytes = guard + stack_bytes;
-#if defined(MAP_STACK)
-    constexpr int extra_flags = MAP_STACK;
-#else
-    constexpr int extra_flags = 0;
-#endif
-    void* base = ::mmap(nullptr, f.map_bytes, PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS | extra_flags, -1, 0);
-    if (base == MAP_FAILED) {
-      throw std::system_error(errno, std::generic_category(),
-                              "FiberScheduler: mmap of a fiber stack failed "
-                              "(lower RuntimeOptions::fiber_stack_bytes or "
-                              "the world size)");
-    }
-    f.map_base = static_cast<std::byte*>(base);
-    // Guard page at the low end: stack overflow faults loudly instead of
-    // silently corrupting the neighboring fiber's stack.
-    if (::mprotect(f.map_base, guard, PROT_NONE) != 0) {
-      const int err = errno;
-      ::munmap(f.map_base, f.map_bytes);
-      f.map_base = nullptr;
-      throw std::system_error(err, std::generic_category(),
-                              "FiberScheduler: mprotect of a fiber stack "
-                              "guard page failed");
-    }
-    f.stack_lo = f.map_base + guard;
-    f.stack_bytes = stack_bytes;
-  }
-
   void release(Fiber& f) {
-    if (f.map_base != nullptr) {
-      ::munmap(f.map_base, f.map_bytes);
-      f.map_base = nullptr;
+    if (f.stack.map_base != nullptr) {
+      stack_cache().release(f.stack);
+      f.stack = Stack{};
     }
 #if defined(PSANIM_TSAN_FIBERS)
     if (f.tsan_fiber != nullptr) {
@@ -228,39 +334,68 @@ struct FiberScheduler::Impl {
 #endif
   }
 
-  static void trampoline(unsigned hi, unsigned lo);
+  static void trampoline(Fiber* f);
 
   void prepare(Fiber& f, const std::function<void(int)>& rank_main) {
-    allocate(f);
+    f.stack = stack_cache().acquire(stack_bytes);
     f.entry = &rank_main;
     f.sched = this;
 #if defined(PSANIM_TSAN_FIBERS)
     f.tsan_fiber = __tsan_create_fiber(0);
 #endif
-    if (::getcontext(&f.ctx) != 0) {
+#if defined(PSANIM_ASM_FIBER_SWITCH)
+    // The first switch into the fiber pops this frame (see the layout in
+    // fiber_switch_x86_64.S) and "returns" into psanim_fiber_entry, which
+    // calls r13(r12) = trampoline(&f). The frame sits 16 bytes below the
+    // 16-aligned top so that call lands with the ABI's stack alignment;
+    // rbp = 0 ends frame-pointer walks.
+    const auto top = reinterpret_cast<std::uintptr_t>(f.stack.lo() +
+                                                      f.stack.usable()) &
+                     ~std::uintptr_t{15};
+    auto* frame = reinterpret_cast<std::uint64_t*>(top) - 2 - 8;
+    frame[0] = psanim_fiber_fp_control();  // creator's rounding modes
+    frame[1] = 0;                          // r15
+    frame[2] = 0;                          // r14
+    frame[3] = reinterpret_cast<std::uint64_t>(&trampoline);  // r13
+    frame[4] = reinterpret_cast<std::uint64_t>(&f);           // r12
+    frame[5] = 0;                                              // rbx
+    frame[6] = 0;                                              // rbp
+    frame[7] = reinterpret_cast<std::uint64_t>(&psanim_fiber_entry);
+    f.ctx.sp = frame;
+#else
+    if (::getcontext(&f.ctx.uc) != 0) {
       throw std::system_error(errno, std::generic_category(),
                               "FiberScheduler: getcontext failed");
     }
-    f.ctx.uc_stack.ss_sp = f.stack_lo;
-    f.ctx.uc_stack.ss_size = f.stack_bytes;
+    f.ctx.uc.uc_stack.ss_sp = f.stack.lo();
+    f.ctx.uc.uc_stack.ss_size = f.stack.usable();
     // No uc_link: a fiber may finish on a different worker thread than the
     // one that created it, so the return context is always the *current*
     // worker's, reached explicitly through switch_out_of_fiber.
-    f.ctx.uc_link = nullptr;
+    f.ctx.uc.uc_link = nullptr;
     const auto p = reinterpret_cast<std::uintptr_t>(&f);
     // makecontext's int-args contract: smuggle the Fiber* as two unsigned
     // halves (the void* hop silences -Wcast-function-type).
-    ::makecontext(&f.ctx,
+    ::makecontext(&f.ctx.uc,
                   reinterpret_cast<void (*)()>(
-                      reinterpret_cast<void*>(&trampoline)),
+                      reinterpret_cast<void*>(&ucontext_entry)),
                   2, static_cast<unsigned>(p >> 32),
                   static_cast<unsigned>(p & 0xffffffffu));
+#endif
   }
+
+#if !defined(PSANIM_ASM_FIBER_SWITCH)
+  static void ucontext_entry(unsigned hi, unsigned lo) {
+    trampoline(reinterpret_cast<Fiber*>(
+        (static_cast<std::uintptr_t>(hi) << 32) |
+        static_cast<std::uintptr_t>(lo)));
+  }
+#endif
 
   // Per-worker return context (the worker's own stack). tl lifetime spans
   // the worker's whole loop, so fibers can always switch back to it.
   struct WorkerCtx {
-    ucontext_t ctx{};
+    Context ctx;
 #if defined(PSANIM_TSAN_FIBERS)
     void* tsan_fiber = nullptr;
 #endif
@@ -276,13 +411,13 @@ struct FiberScheduler::Impl {
   void switch_into(Fiber* f, WorkerCtx& w) {
     tl_current_fiber = f;
 #if defined(PSANIM_ASAN_FIBERS)
-    __sanitizer_start_switch_fiber(&w.fake_stack, f->stack_lo,
-                                   f->stack_bytes);
+    __sanitizer_start_switch_fiber(&w.fake_stack, f->stack.lo(),
+                                   f->stack.usable());
 #endif
 #if defined(PSANIM_TSAN_FIBERS)
     __tsan_switch_to_fiber(f->tsan_fiber, 0);
 #endif
-    ::swapcontext(&w.ctx, &f->ctx);
+    jump(w.ctx, f->ctx);
 #if defined(PSANIM_ASAN_FIBERS)
     __sanitizer_finish_switch_fiber(w.fake_stack, nullptr, nullptr);
 #endif
@@ -302,7 +437,7 @@ struct FiberScheduler::Impl {
 #if defined(PSANIM_TSAN_FIBERS)
     __tsan_switch_to_fiber(w.tsan_fiber, 0);
 #endif
-    ::swapcontext(&f->ctx, &w.ctx);
+    jump(f->ctx, w.ctx);
     // Resumed (possibly on a different worker thread).
 #if defined(PSANIM_ASAN_FIBERS)
     __sanitizer_finish_switch_fiber(f->asan_fake_stack, nullptr, nullptr);
@@ -365,13 +500,29 @@ struct FiberScheduler::Impl {
   }
 
   void worker_main() {
+    // The calling thread of run() is a worker too, and may itself be a
+    // fiber of an enclosing scheduler (a runtime started from a rank
+    // body): put its thread-locals back when this loop ends.
+    struct RestoreThreadLocals {
+      WorkerCtx* worker = tl_worker;
+      Fiber* fiber = tl_current_fiber;
+      ~RestoreThreadLocals() {
+        tl_worker = worker;
+        tl_current_fiber = fiber;
+      }
+    } restore;
+
     WorkerCtx w;
 #if defined(PSANIM_TSAN_FIBERS)
     w.tsan_fiber = __tsan_get_current_fiber();
 #endif
 #if defined(PSANIM_ASAN_FIBERS)
-    // ASan needs the worker's real stack bounds to switch back onto it.
-    {
+    // ASan needs the worker's real stack bounds to switch back onto it:
+    // the enclosing fiber's stack, or the thread's own.
+    if (restore.fiber != nullptr) {
+      w.stack_bottom = restore.fiber->stack.lo();
+      w.stack_size = restore.fiber->stack.usable();
+    } else {
       pthread_attr_t attr;
       if (pthread_getattr_np(pthread_self(), &attr) == 0) {
         void* base = nullptr;
@@ -425,11 +576,13 @@ struct FiberScheduler::Impl {
       for (auto& f : fibers) make_ready(&f, 0.0);
     }
     {
+      // The caller is worker 0; only the others get threads.
       std::vector<std::jthread> pool;
-      pool.reserve(static_cast<std::size_t>(workers));
-      for (int i = 0; i < workers; ++i) {
+      pool.reserve(static_cast<std::size_t>(workers - 1));
+      for (int i = 1; i < workers; ++i) {
         pool.emplace_back([this] { worker_main(); });
       }
+      worker_main();
     }
     for (auto& f : fibers) release(f);
   }
@@ -468,9 +621,7 @@ struct FiberScheduler::Impl {
 thread_local FiberScheduler::Impl::WorkerCtx* FiberScheduler::Impl::tl_worker =
     nullptr;
 
-void FiberScheduler::Impl::trampoline(unsigned hi, unsigned lo) {
-  auto* f = reinterpret_cast<Fiber*>((static_cast<std::uintptr_t>(hi) << 32) |
-                                     static_cast<std::uintptr_t>(lo));
+void FiberScheduler::Impl::trampoline(Fiber* f) {
 #if defined(PSANIM_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(nullptr, nullptr, nullptr);
 #endif

@@ -572,12 +572,44 @@ TEST(CkptCodecFuzz, CrcContinuesAcrossBuffersAndCombines) {
   }
 }
 
+// crc32_combine shifts by a table product per byte of len_b below 4 GiB
+// and by squarings above. Continuing a CRC over len_b zero bytes is the
+// same shift, so every length byte is checked against crc32 itself; past
+// 4 GiB, where no buffer fits, shifts must compose.
+TEST(CkptCodecFuzz, CrcCombineShiftsAgreeAtEveryLengthByte) {
+  Rng rng{0x5EED};
+  const Bytes zeros((std::size_t{1} << 24) + 300);
+  for (const std::size_t len :
+       {std::size_t{255}, std::size_t{256}, std::size_t{65535},
+        std::size_t{65536}, std::size_t{65536 + 257},
+        (std::size_t{1} << 24) - 1, std::size_t{1} << 24,
+        (std::size_t{1} << 24) + 300}) {
+    const auto c = static_cast<std::uint32_t>(rng.next());
+    const auto z = view(zeros, 0, len);
+    EXPECT_EQ(ckpt::crc32_combine(c, ckpt::crc32(z), len), ckpt::crc32(z, c))
+        << "len " << len;
+  }
+  const std::uint64_t four_gib = std::uint64_t{1} << 32;
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> splits = {
+      {four_gib - 1, 1},        {four_gib, four_gib},
+      {four_gib - 3, 70000},    {std::uint64_t{1} << 40, 12345},
+      {0xFFFFFFFFFFFFull, 1},   {std::uint64_t{1} << 63, 255}};
+  for (const auto& [a, b] : splits) {
+    const auto c = static_cast<std::uint32_t>(rng.next());
+    EXPECT_EQ(ckpt::crc32_combine(ckpt::crc32_combine(c, 0, a), 0, b),
+              ckpt::crc32_combine(c, 0, a + b))
+        << a << " + " << b;
+  }
+}
+
 TEST(CkptCodecFuzz, SnapshotDigestIsTheCrcOfTheWholeImage) {
   Rng rng{0xD16E};
-  // No sections, one empty section, empty sections between full ones, and
-  // many sections of random size.
+  // No sections, one empty section, empty sections between full ones,
+  // sizes either side of the writer's 64-byte combine threshold, and many
+  // sections of random size.
   std::vector<std::vector<std::size_t>> shapes = {
-      {}, {0}, {0, 0, 0}, {5, 0, 17, 0}, {1}, {8}, {4096}};
+      {},  {0}, {0, 0, 0}, {5, 0, 17, 0}, {1}, {8}, {4096},
+      {63, 64, 65, 0, 62}};
   for (int trial = 0; trial < 40; ++trial) {
     std::vector<std::size_t> sizes(1 + rng.below(40));
     for (auto& n : sizes) n = rng.below(3) == 0 ? 0 : rng.below(3000);

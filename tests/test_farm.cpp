@@ -18,6 +18,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -31,6 +33,8 @@
 #include "farm_printers.hpp"
 #include "farm/job.hpp"
 #include "obs/trace.hpp"
+#include "psys/action_list.hpp"
+#include "psys/source_domain.hpp"
 #include "render/compare.hpp"
 #include "sim/scenario.hpp"
 
@@ -449,6 +453,71 @@ TEST(FarmHandles, HandlesOutliveTheFarm) {
   }
   EXPECT_EQ(h.poll(), JobState::kDone);
   EXPECT_GT(h.await().fb_hash, 0u);
+}
+
+// --- launch cost ----------------------------------------------------------
+
+/// Threads of this process right now (Linux: entries of /proc/self/task).
+std::size_t process_threads() {
+  const std::filesystem::path tasks = "/proc/self/task";
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::directory_iterator(tasks),
+      std::filesystem::directory_iterator{}));
+}
+
+/// A no-op action that records which OS threads apply it and the most
+/// threads the process had while it ran.
+class ThreadProbe final : public psys::Action {
+ public:
+  struct Seen {
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    std::size_t max_process_threads = 0;
+  };
+  explicit ThreadProbe(Seen& seen) : seen_(&seen) {}
+  const char* name() const override { return "thread-probe"; }
+  void apply(std::span<psys::Particle>, psys::ActionContext&) const override {
+    const std::size_t n = process_threads();
+    const std::scoped_lock lock(seen_->mu);
+    seen_->threads.insert(std::this_thread::get_id());
+    seen_->max_process_threads = std::max(seen_->max_process_threads, n);
+  }
+
+ private:
+  Seen* seen_;
+};
+
+TEST(FarmLaunch, SingleSegmentLaunchRunsOnTheDriverThreadAndStartsNone) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "needs /proc/self/task to count threads";
+  }
+  ThreadProbe::Seen seen;
+  JobSpec job = tiny_job("probe");
+  psys::ActionList al;
+  psys::Source::Params src;
+  src.rate = 40;
+  src.position_domain = psys::make_sphere({0, 4, 0}, 1.0f);
+  src.velocity_domain = psys::make_sphere({0, 0, 0}, 0.5f);
+  al.add<psys::Source>(src);
+  al.append(std::make_unique<ThreadProbe>(seen));
+  al.add<psys::Move>();
+  job.scene.systems.clear();
+  job.scene.systems.emplace_back("probe", std::move(al));
+
+  // One worker per job under the fiber core: the job's ranks need no
+  // thread of their own, so the farm's driver is the only one besides us.
+  FarmOptions o = fast_opts();
+  o.exec_mode = mp::ExecMode::kFibers;
+  o.workers_per_job = 1;
+  Farm f(flat_cluster(2, 2), o);
+  auto h = f.submit(std::move(job));
+  const std::size_t before = process_threads();
+  f.run();
+  ASSERT_EQ(h.await().state, JobState::kDone) << h.await().error;
+  ASSERT_FALSE(seen.threads.empty());
+  EXPECT_EQ(seen.threads.size(), 1u);
+  EXPECT_EQ(seen.threads.count(std::this_thread::get_id()), 0u);
+  EXPECT_EQ(seen.max_process_threads, before + 1);
 }
 
 // --- liveness when launches fail ----------------------------------------

@@ -4,9 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cfenv>
 #include <chrono>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -15,6 +22,7 @@
 #include "mp/buffer_pool.hpp"
 #include "mp/collectives.hpp"
 #include "mp/communicator.hpp"
+#include "mp/fiber.hpp"
 #include "mp/mailbox.hpp"
 #include "mp/message.hpp"
 #include "mp/runtime.hpp"
@@ -824,6 +832,211 @@ TEST(FiberScale, DeadlockVictimMatchesThreadedTimeoutText) {
                  "psanim::mp: receive timed out (src=1, tag=5) — likely a "
                  "missing end-of-transmission marker");
   }
+}
+
+// --- the fiber switch ---
+//
+// What a context switch must carry: the callee-saved registers (live
+// locals) and the floating-point control state, per fiber.
+
+/// 1/3 in the calling context's rounding mode (volatile: computed at run
+/// time, in SSE, not folded by the compiler).
+double one_third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+TEST(FiberSwitch, LiveLocalsAndRoundingModeSurviveABlockingRecv) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = one_third();
+  std::fesetround(FE_UPWARD);
+  const double upward = one_third();
+  std::fesetround(FE_TONEAREST);
+  ASSERT_NE(nearest, upward);
+
+  // One worker: rank 0 blocks, rank 1 runs on the same worker in between,
+  // then rank 0 resumes.
+  Runtime rt(2, zero_cost_fn(),
+             RuntimeOptions{.exec_mode = ExecMode::kFibers, .workers = 1});
+  std::atomic<int> rank1_mode{-1};
+  std::atomic<bool> rank1_nearest{false};
+  rt.run([&](Endpoint& ep) {
+    if (ep.rank() == 1) {
+      rank1_mode = std::fegetround();
+      rank1_nearest = one_third() == nearest;
+      ep.send(0, 9, Writer{});
+      return;
+    }
+    // Many locals live across the switch: more than the callee-saved
+    // registers hold, so some sit in registers and some on the stack.
+    std::array<std::uint64_t, 24> spilled{};
+    for (std::size_t i = 0; i < spilled.size(); ++i) {
+      spilled[i] = 0x9E3779B97F4A7C15ull * (i + 1);
+    }
+    const std::uint64_t seed = spilled[3] ^ static_cast<std::uint64_t>(ep.rank());
+    std::uint64_t l0 = seed * 3, l1 = seed * 5, l2 = seed * 7, l3 = seed * 11;
+    std::uint64_t l4 = seed * 13, l5 = seed * 17, l6 = seed * 19;
+    std::uint64_t l7 = seed * 23;
+    double d0 = static_cast<double>(seed % 1000) * 0.5;
+    double d1 = d0 * 1.25;
+    std::fesetround(FE_UPWARD);
+    ep.recv(1, 9);
+    EXPECT_EQ(std::fegetround(), FE_UPWARD);
+    EXPECT_EQ(one_third(), upward);
+    std::fesetround(FE_TONEAREST);
+    EXPECT_EQ(l0, seed * 3);
+    EXPECT_EQ(l1, seed * 5);
+    EXPECT_EQ(l2, seed * 7);
+    EXPECT_EQ(l3, seed * 11);
+    EXPECT_EQ(l4, seed * 13);
+    EXPECT_EQ(l5, seed * 17);
+    EXPECT_EQ(l6, seed * 19);
+    EXPECT_EQ(l7, seed * 23);
+    EXPECT_EQ(d0, static_cast<double>(seed % 1000) * 0.5);
+    EXPECT_EQ(d1, d0 * 1.25);
+    for (std::size_t i = 0; i < spilled.size(); ++i) {
+      EXPECT_EQ(spilled[i], 0x9E3779B97F4A7C15ull * (i + 1)) << i;
+    }
+  });
+  EXPECT_EQ(rank1_mode.load(), FE_TONEAREST);
+  EXPECT_TRUE(rank1_nearest.load());
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+TEST(FiberSwitch, CallerKeepsItsRoundingModeWhateverFibersSet) {
+  // The worker's own control state is saved on the way into a fiber and
+  // restored on the way out, so a fiber that leaves FE_DOWNWARD set does
+  // not leak it into the thread that called run().
+  Runtime rt(3, zero_cost_fn(),
+             RuntimeOptions{.exec_mode = ExecMode::kFibers, .workers = 1});
+  rt.run([](Endpoint&) { std::fesetround(FE_DOWNWARD); });
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+[[gnu::noinline]] int throw_from_depth(int depth, int rank) {
+  volatile char pad[128];
+  pad[0] = static_cast<char>(depth);
+  if (depth == 0) throw std::runtime_error("deep " + std::to_string(rank));
+  return throw_from_depth(depth - 1, rank) + pad[0];
+}
+
+TEST(FiberSwitch, ExceptionFromDeepInAReusedStackIsCaughtByTheRankWrapper) {
+  const RuntimeOptions opts{.exec_mode = ExecMode::kFibers, .workers = 2};
+  Runtime(8, zero_cost_fn(), opts).run([](Endpoint&) {});  // warm the cache
+  const auto before = fiber_stack_stats();
+  static std::atomic<int> destroyed{0};
+  struct OnStack {
+    ~OnStack() { destroyed.fetch_add(1); }
+  };
+  destroyed = 0;
+  Runtime rt(8, zero_cost_fn(), opts);
+  try {
+    rt.run([](Endpoint& ep) {
+      OnStack guard;
+      if (ep.rank() >= 2) throw_from_depth(200, ep.rank());
+    });
+    FAIL() << "expected the lowest-rank exception to be rethrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "deep 2");
+  }
+  EXPECT_EQ(destroyed.load(), 8);
+  EXPECT_EQ(fiber_stack_stats().reuses - before.reuses, 8u);
+}
+
+TEST(FiberSwitch, OneWorkerRunsRankBodiesOnTheCallersThread) {
+  const auto caller = std::this_thread::get_id();
+  Runtime rt(16, zero_cost_fn(),
+             RuntimeOptions{.exec_mode = ExecMode::kFibers, .workers = 1});
+  std::atomic<int> elsewhere{0};
+  rt.run([&](Endpoint& ep) {
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+    barrier(ep);  // every rank blocks and resumes at least once
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+  });
+  EXPECT_EQ(elsewhere.load(), 0);
+}
+
+TEST(FiberSwitch, RuntimeStartedFromARankBodyRestoresItsFiber) {
+  // A rank body that runs a whole inner world inline (its thread becomes
+  // the inner scheduler's worker 0) must come back as the outer fiber:
+  // its own blocking receives still yield to the outer scheduler.
+  Runtime outer(2, zero_cost_fn(),
+                RuntimeOptions{.exec_mode = ExecMode::kFibers, .workers = 1});
+  std::atomic<int> inner_ranks{0};
+  outer.run([&](Endpoint& ep) {
+    if (ep.rank() == 0) {
+      Runtime inner(4, zero_cost_fn(),
+                    RuntimeOptions{.exec_mode = ExecMode::kFibers,
+                                   .workers = 1});
+      inner.run([&](Endpoint& iep) {
+        barrier(iep);
+        inner_ranks.fetch_add(1);
+      });
+      ep.recv(1, 3);
+    } else {
+      ep.send(0, 3, Writer{});
+    }
+  });
+  EXPECT_EQ(inner_ranks.load(), 4);
+}
+
+// --- the fiber stack cache ---
+
+TEST(FiberStacks, SecondRuntimeOfTheSameSizeMapsNoNewStack) {
+  const RuntimeOptions opts{.exec_mode = ExecMode::kFibers, .workers = 2};
+  Runtime(16, zero_cost_fn(), opts).run([](Endpoint& ep) { barrier(ep); });
+  const auto before = fiber_stack_stats();
+  EXPECT_GE(before.cached, 16u);
+  Runtime(16, zero_cost_fn(), opts).run([](Endpoint& ep) { barrier(ep); });
+  const auto after = fiber_stack_stats();
+  EXPECT_EQ(after.maps, before.maps);
+  EXPECT_EQ(after.reuses - before.reuses, 16u);
+}
+
+TEST(FiberStacks, CacheHoldsNoMoreThanItsCapAfterAThousandRankWorld) {
+  const auto before = fiber_stack_stats();
+  Runtime(1000, zero_cost_fn(),
+          RuntimeOptions{.exec_mode = ExecMode::kFibers, .workers = 2})
+      .run([](Endpoint&) {});
+  const auto after = fiber_stack_stats();
+  EXPECT_EQ((after.maps - before.maps) + (after.reuses - before.reuses),
+            1000u);
+  EXPECT_EQ(after.cached, kFiberStackCacheCap);
+}
+
+/// Recurse until this frame lies below `floor`, writing every frame.
+[[gnu::noinline]] std::uintptr_t dig(std::uintptr_t floor) {
+  volatile char pad[256];
+  for (auto& c : pad) c = 1;
+  const auto here = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+  if (here <= floor) return here;
+  return dig(floor) + static_cast<std::uintptr_t>(pad[0]);
+}
+
+TEST(FiberStacksDeathTest, OverflowingAReusedStackFaultsOnItsGuardPage) {
+  // The body digs exactly one stack size below its own frame: a few
+  // hundred bytes past the stack's low end, inside the guard page. An
+  // armed guard faults there; a disarmed one would let dig return.
+  constexpr std::size_t kStack = 64 * 1024;
+  const auto run_one = [](const std::function<void(int)>& body) {
+    FiberScheduler sched(
+        1, FiberSchedulerOptions{.workers = 1, .stack_bytes = kStack});
+    sched.run(body);
+  };
+  EXPECT_DEATH(
+      {
+        run_one([](int) {});  // leaves a stack of this size in the cache
+        const auto before = fiber_stack_stats();
+        run_one([&](int) {
+          // Not a reused stack: exit cleanly, which fails the death test.
+          if (fiber_stack_stats().reuses == before.reuses) std::_Exit(0);
+          const auto top =
+              reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+          dig(top - kStack);
+        });
+      },
+      "");
 }
 
 }  // namespace
