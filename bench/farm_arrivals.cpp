@@ -42,11 +42,16 @@
 //     tenant service, and cuts the narrow batch tenant's p99 wait below
 //     priority's.
 //
-// Usage: farm_arrivals [--full] [--out BENCH_PR10_FARM.json]
+// Usage: farm_arrivals [--full] [--jobs N] [--out BENCH_PR10_FARM.json]
 //   quick (default): a few hundred jobs — the fast-tier scale;
-//   --full: 10k+ jobs, the committed-artifact scale.
+//   --full: 10k+ jobs, the committed-artifact scale;
+//   --jobs N: N jobs instead;
+//   --help: print this usage and exit.
+// An unknown argument or a missing or non-numeric value exits 2 before
+// any file is written.
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -352,6 +357,17 @@ std::string leg_json(const LegOut& l) {
   return out;
 }
 
+constexpr const char* kUsage =
+    "usage: farm_arrivals [--full] [--jobs N] [--out PATH]\n"
+    "  --full      10k+ jobs, the committed-artifact scale (default: 300)\n"
+    "  --jobs N    run N jobs instead\n"
+    "  --out PATH  where to write the JSON (default BENCH_PR10_FARM.json)\n";
+
+int usage_error(const std::string& msg) {
+  std::fprintf(stderr, "farm_arrivals: %s\n%s", msg.c_str(), kUsage);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -359,13 +375,33 @@ int main(int argc, char** argv) {
   const char* out_path = "BENCH_PR10_FARM.json";
   std::size_t jobs_override = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) full = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::fputs(kUsage, stdout);
+      return 0;
     }
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs_override = static_cast<std::size_t>(std::atol(argv[++i]));
+    if (arg == "--full") {
+      full = true;
+      continue;
     }
+    if (arg != "--out" && arg != "--jobs") {
+      return usage_error("unknown argument '" + arg + "'");
+    }
+    if (i + 1 >= argc) return usage_error(arg + " needs a value");
+    const char* value = argv[++i];
+    if (arg == "--out") {
+      out_path = value;
+      continue;
+    }
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long n = std::strtoull(value, &end, 10);
+    if (end == value || *end != '\0' || errno != 0 || n == 0 ||
+        value[0] == '-') {
+      return usage_error(std::string("--jobs wants a positive count, not '") +
+                         value + "'");
+    }
+    jobs_override = static_cast<std::size_t>(n);
   }
   const std::size_t jobs = jobs_override ? jobs_override : (full ? 10'000 : 300);
 

@@ -1,10 +1,14 @@
 // Google-benchmark microbenches for the hot per-particle paths: action
-// application, sliced-store maintenance, spatial hashing, RNG and wire
-// packing, plus checkpoint capture (CRC-32 and snapshot assembly). These measure REAL nanoseconds on the host (unlike the table
-// benches, which report virtual cluster time) — useful when tuning the
-// library itself.
+// application, sliced-store maintenance, spatial hashing, RNG, wire
+// packing and the image generator's unpack + splat, plus checkpoint
+// capture (CRC-32 and snapshot assembly). These measure REAL nanoseconds
+// on the host (unlike the table benches, which report virtual cluster
+// time) — useful when tuning the library itself.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "ckpt/format.hpp"
 #include "ckpt/snapshot.hpp"
@@ -15,6 +19,9 @@
 #include "math/rng.hpp"
 #include "psys/actions.hpp"
 #include "psys/store.hpp"
+#include "render/camera.hpp"
+#include "render/framebuffer.hpp"
+#include "render/splat.hpp"
 
 namespace {
 
@@ -89,15 +96,54 @@ BENCHMARK(BM_ActionMove)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
 
 void BM_StoreInsertExtract(benchmark::State& state) {
   const auto parts = make_particles(static_cast<std::size_t>(state.range(0)));
+  std::vector<psys::Particle> out;
   for (auto _ : state) {
     psys::SlicedStore store(0, -10, 10, 8);
     store.insert_batch(parts);
-    auto out = store.extract_outside();
+    store.sweep([](std::span<psys::Particle>) {}, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StoreInsertExtract)->Arg(1 << 12)->Arg(1 << 16);
+
+// The frame's store visit without the actions: 64k particles in 8 slices
+// of [-10, 10). Arg 0: nothing moved. Arg 1: a fountain-like frame, where
+// ~30% of each slice crossed an internal cut and ~12% left the domain
+// (the layout is restored, untimed, before every sweep).
+void BM_StoreSweep(benchmark::State& state) {
+  constexpr float kLo = -10.0f;
+  constexpr float kHi = 10.0f;
+  psys::SlicedStore store(0, kLo, kHi, 8);
+  store.insert_batch(make_particles(1 << 16));
+  auto layout = store.raw_slices();
+  if (state.range(0) == 1) {
+    Rng rng(9);
+    const float width = (kHi - kLo) / 8.0f;
+    for (auto& slice : layout) {
+      for (auto& p : slice) {
+        const float u = rng.next_float();
+        if (u < 0.12f) {
+          p.pos.x += (kHi - kLo) * (u < 0.06f ? -1.0f : 1.0f);
+        } else if (u < 0.42f) {
+          p.pos.x = std::clamp(p.pos.x + (u < 0.27f ? -width : width),
+                               kLo, std::nextafter(kHi, kLo));
+        }
+      }
+    }
+  }
+  std::vector<psys::Particle> crossers;
+  for (auto _ : state) {
+    state.PauseTiming();
+    store.adopt_slices(kLo, kHi, layout);
+    state.ResumeTiming();
+    store.sweep([](std::span<psys::Particle>) {}, crossers);
+    benchmark::DoNotOptimize(crossers.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * (1 << 16));
+}
+BENCHMARK(BM_StoreSweep)->Arg(0)->Arg(1);
 
 void BM_StoreDonate(benchmark::State& state) {
   const auto parts = make_particles(static_cast<std::size_t>(state.range(0)));
@@ -177,6 +223,31 @@ void BM_PackVerticesFromStores(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PackVerticesFromStores)->Arg(1 << 12)->Arg(1 << 16);
+
+// The image generator's side of the gather: one calculator's packed
+// frame payload unpacked and splatted into a 320x240 framebuffer.
+void BM_SplatFrameView(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<psys::SlicedStore> stores;
+  stores.emplace_back(0, -10.0f, 10.0f, 8);
+  stores.back().insert_batch(make_particles(n));
+  mp::Message m;
+  m.payload = core::encode_frame_vertices(
+                  0, std::span<const psys::SlicedStore>(stores))
+                  .take();
+  const auto cam = render::Camera::framing({0, 5, 0}, 12.0f, 320, 240);
+  render::Framebuffer fb(320, 240);
+  for (auto _ : state) {
+    const core::FrameVertexView view(m, 0);
+    view.for_each_chunk([&](std::span<const core::RenderVertex> chunk) {
+      render::splat_points(fb, cam, chunk, render::BlendMode::kAdditive);
+    });
+    benchmark::DoNotOptimize(fb.colors().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SplatFrameView)->Arg(1 << 16);
 
 void BM_ExchangeRoundTrip(benchmark::State& state) {
   const auto parts = make_particles(static_cast<std::size_t>(state.range(0)));

@@ -35,6 +35,7 @@ Calculator::Calculator(const SimSettings& settings, const Scene& scene,
   const auto [lo, hi] = initial_interval(set_, scene_);
   decomps_.reserve(scene_.systems.size());
   stores_.reserve(scene_.systems.size());
+  crossers_.resize(scene_.systems.size());
   for (std::size_t s = 0; s < scene_.systems.size(); ++s) {
     decomps_.emplace_back(set_.axis, lo, hi, set_.ncalc);
     const Decomposition& d = decomps_.back();
@@ -402,14 +403,15 @@ void Calculator::compute_phase(mp::Endpoint& ep, std::uint32_t frame,
         scene_.systems[s].actions(), set_.dt, [&](std::size_t ai) {
           return base_rng_.derive(s, frame).derive(ai, idx_);
         });
-    store.for_each_slice(
-        [&](std::span<psys::Particle> ps) { fused.apply(ps); });
+    // One visit per particle: the sweep also drops the dead and pulls out
+    // the crossers exchange_phase routes (and charges) this frame.
+    const std::size_t removed = store.sweep(
+        [&](std::span<psys::Particle> ps) { fused.apply(ps); }, crossers_[s]);
     for (const auto& pass : fused.passes()) {
       charge_particles(ep, env_.cost->action_cost * pass.action->cost_weight(),
                        held);
       fs.particles_killed += pass.ctx.killed;
     }
-    const std::size_t removed = store.compact_dead();
     charge_particles(ep, env_.cost->pack_cost, removed);
 
     time_per_system[s] = ep.clock().now() - t0;
@@ -426,9 +428,10 @@ void Calculator::exchange_phase(mp::Endpoint& ep, std::uint32_t frame,
     stores_.at(s).insert_batch(ps);
   };
   const auto extract = [&](std::size_t s, Outboxes& outboxes) {
-    auto crossers = stores_[s].extract_outside();
     // The §4 sliced layout makes the crosser scan touch only edge checks;
-    // charge the scan on what actually crossed plus a per-slice sweep.
+    // charge the scan on what actually crossed. Taking the vector frees
+    // it after routing, so idle calculators hold no crosser buffers.
+    std::vector<psys::Particle> crossers = std::move(crossers_[s]);
     charge_particles(ep, env_.cost->pack_cost, crossers.size());
     std::vector<psys::Particle> back_home;
     route_crossers(decomps_[s], static_cast<psys::SystemId>(s), idx_,

@@ -101,6 +101,9 @@ class Calculator {
   int idx_;
   std::vector<Decomposition> decomps_;
   std::vector<psys::SlicedStore> stores_;  // one per system
+  /// Each system's crossers, pulled out by compute_phase's sweep and
+  /// routed by exchange_phase in the same frame.
+  std::vector<std::vector<psys::Particle>> crossers_;
   Rng base_rng_;
   render::Camera cam_;  // used in sort-last mode
   trace::Telemetry tel_;

@@ -261,6 +261,7 @@ SequentialResult run_sequential(const Scene& scene,
   render::Framebuffer fb = backdrop;
 
   double clock = 0.0;
+  std::vector<psys::Particle> crossers;
   for (std::uint32_t frame = 0; frame < settings.frames; ++frame) {
     clock += cost.frame_overhead_s / rate;
     // Creation (same stream as the manager's).
@@ -282,17 +283,15 @@ SequentialResult run_sequential(const Scene& scene,
           scene.systems[s].actions(), settings.dt, [&](std::size_t ai) {
             return base.derive(s, frame).derive(ai, /*calc=*/0);
           });
-      store.for_each_slice(
-          [&](std::span<psys::Particle> ps) { fused.apply(ps); });
+      // The calculator's sweep. One domain spans all space, so nothing
+      // should cross; a particle that leaves ±kHuge is dropped.
+      const std::size_t removed = store.sweep(
+          [&](std::span<psys::Particle> ps) { fused.apply(ps); }, crossers);
       for (const auto& pass : fused.passes()) {
         clock += cost.compute_s(cost.action_cost * pass.action->cost_weight(),
                                 held, rate);
       }
-      const std::size_t removed = store.compact_dead();
       clock += cost.compute_s(cost.pack_cost, removed, rate);
-      // Keep internal slices consistent, as the calculator's exchange
-      // scan does (everything stays owned — one domain spans all space).
-      store.extract_outside();
     }
     // Render.
     fb = backdrop;

@@ -8,9 +8,12 @@
 // receivers verify it, so a protocol ordering bug fails loudly instead of
 // silently mixing frames.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <functional>
+#include <cstring>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "mp/message.hpp"
@@ -107,7 +110,32 @@ static_assert(std::is_trivially_copyable_v<PackedVertex>);
 inline constexpr float kMaxSplatSize = 0.5f;
 
 PackedVertex pack_vertex(const RenderVertex& v);
-RenderVertex unpack_vertex(const PackedVertex& p);
+
+namespace detail {
+/// What unpack_vertex makes of a quantized byte: i / 255 for a color
+/// channel, i / 255 · kMaxSplatSize for a size. Computed at compile time
+/// with the runtime expressions, so the lookups are exact.
+template <typename F>
+constexpr std::array<float, 256> byte_table(F f) {
+  std::array<float, 256> t{};
+  for (int i = 0; i < 256; ++i) t[static_cast<std::size_t>(i)] = f(i);
+  return t;
+}
+inline constexpr std::array<float, 256> kUnitOfByte =
+    byte_table([](int i) { return static_cast<float>(i) / 255.0f; });
+inline constexpr std::array<float, 256> kSizeOfByte = byte_table(
+    [](int i) { return static_cast<float>(i) / 255.0f * kMaxSplatSize; });
+}  // namespace detail
+
+inline RenderVertex unpack_vertex(const PackedVertex& p) {
+  RenderVertex v;
+  v.pos = {p.x, p.y, p.z};
+  v.color = {detail::kUnitOfByte[p.r], detail::kUnitOfByte[p.g],
+             detail::kUnitOfByte[p.b]};
+  v.alpha = 1.0f;  // premultiplied into color
+  v.size = detail::kSizeOfByte[p.size_q];
+  return v;
+}
 
 // --- codecs ---
 //
@@ -165,9 +193,22 @@ class FrameVertexView {
   std::size_t size() const { return records_.size() / sizeof(PackedVertex); }
 
   /// Unpack the vertices in payload order, at most kChunk at a time, and
-  /// hand each chunk to `visit`.
-  void for_each_chunk(
-      const std::function<void(std::span<const RenderVertex>)>& visit) const;
+  /// hand each chunk to `visit` (a std::span<const RenderVertex>).
+  template <typename Visit>
+  void for_each_chunk(Visit&& visit) const {
+    std::array<RenderVertex, kChunk> buf;
+    const std::size_t n = size();
+    for (std::size_t at = 0; at < n; at += kChunk) {
+      const std::size_t len = std::min(kChunk, n - at);
+      const std::byte* in = records_.data() + at * sizeof(PackedVertex);
+      for (std::size_t i = 0; i < len; ++i) {
+        PackedVertex p;
+        std::memcpy(&p, in + i * sizeof(PackedVertex), sizeof(PackedVertex));
+        buf[i] = unpack_vertex(p);
+      }
+      visit(std::span<const RenderVertex>(buf.data(), len));
+    }
+  }
 
  private:
   std::span<const std::byte> records_;

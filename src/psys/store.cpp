@@ -1,6 +1,7 @@
 #include "psys/store.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -13,6 +14,17 @@ bool finite_pos(const Particle& p) {
   return std::isfinite(p.pos.x) && std::isfinite(p.pos.y) &&
          std::isfinite(p.pos.z);
 }
+
+/// Floats as unsigned integers in the same order (−0 just below +0), so
+/// a bisection over floats is a bisection over integers.
+std::uint32_t ordered(float f) {
+  const auto u = std::bit_cast<std::uint32_t>(f);
+  return (u & 0x80000000u) ? ~u : (u | 0x80000000u);
+}
+
+float from_ordered(std::uint32_t u) {
+  return std::bit_cast<float>((u & 0x80000000u) ? (u & 0x7fffffffu) : ~u);
+}
 }  // namespace
 
 SlicedStore::SlicedStore(int axis, float lo, float hi, std::size_t slices)
@@ -23,6 +35,7 @@ SlicedStore::SlicedStore(int axis, float lo, float hi, std::size_t slices)
   if (!(lo <= hi)) {
     throw std::invalid_argument("SlicedStore: lo must be <= hi");
   }
+  derive_cuts();
 }
 
 std::size_t SlicedStore::size() const {
@@ -41,6 +54,34 @@ std::size_t SlicedStore::slice_of(float k) const {
   return static_cast<std::size_t>(i);
 }
 
+void SlicedStore::derive_cuts() {
+  // c_i is the first float of [lo, hi) that slice_of files at or above
+  // slice i (hi when there is none). slice_of is monotone in k, so bisect
+  // over the ordered encoding with slice_of itself as the oracle: the
+  // table is exact by construction, whatever the division rounds to.
+  const std::size_t m = slices_.size();
+  cuts_.assign(m + 1, hi_);
+  cuts_[0] = lo_;
+  const std::uint32_t end = ordered(hi_);
+  for (std::size_t i = 1; i < m; ++i) {
+    const auto at_or_above = [&](std::uint32_t u) {
+      return u == end || slice_of(from_ordered(u)) >= i;
+    };
+    std::uint32_t below = ordered(cuts_[i - 1]);
+    if (at_or_above(below)) {
+      cuts_[i] = cuts_[i - 1];
+      continue;
+    }
+    // Invariant: !at_or_above(below) && at_or_above(above).
+    std::uint32_t above = end;
+    while (above - below > 1) {
+      const std::uint32_t mid = below + (above - below) / 2;
+      (at_or_above(mid) ? above : below) = mid;
+    }
+    cuts_[i] = from_ordered(above);
+  }
+}
+
 void SlicedStore::insert(const Particle& p) {
   if (!finite_pos(p)) {
     ++nonfinite_dropped_;
@@ -57,62 +98,101 @@ void SlicedStore::reset_bounds(float lo, float hi) {
   if (!(lo <= hi)) {
     throw std::invalid_argument("SlicedStore::reset_bounds: lo must be <= hi");
   }
-  std::vector<Particle> all = take_all();
   lo_ = lo;
   hi_ = hi;
-  insert_batch(all);
-}
-
-void SlicedStore::for_each_slice(
-    const std::function<void(std::span<Particle>)>& fn) {
-  for (auto& s : slices_) {
-    if (!s.empty()) fn(std::span<Particle>(s));
-  }
-}
-
-std::vector<Particle> SlicedStore::extract_outside() {
-  std::vector<Particle> out;
-  // Particles that stayed in [lo, hi) but crossed an internal cut; re-filed
-  // after the main pass so we never scan a particle twice.
-  std::vector<std::pair<std::size_t, Particle>> moved;
+  derive_cuts();
+  // Restage in place, in the slices' capacity, to the layout a re-insert
+  // of every particle in the old order would give. Slice by slice, a
+  // particle stays put when its new slice has its old index, joins an
+  // already restaged lower slice, or waits in `up` for its higher slice,
+  // which takes its waiting particles ahead of its own (they came first
+  // in the old order).
+  Movers& up = mover_staging();
+  up.clear();
+  std::vector<Particle> arriving;
   for (std::size_t i = 0; i < slices_.size(); ++i) {
     auto& s = slices_[i];
+    const float a = cuts_[i];
+    const float b = cuts_[i + 1];
     std::size_t keep = 0;
-    for (std::size_t r = 0; r < s.size(); ++r) {
-      if (!finite_pos(s[r])) {
-        // An action blew this particle up (NaN/inf position) — it can't be
-        // routed or kept without corrupting the layout, so drop it here,
-        // the same choice insert() makes.
+    const std::size_t n = s.size();
+    for (std::size_t r = 0; r < n; ++r) {
+      const Particle& p = s[r];
+      if (!finite_pos(p)) {
         ++nonfinite_dropped_;
         continue;
       }
-      const float k = key(s[r]);
-      if (k < lo_ || k >= hi_) {
-        out.push_back(s[r]);
-        continue;
+      const float k = key(p);
+      const std::size_t j = k >= a && k < b ? i : slice_of(k);
+      if (j == i) {
+        if (keep != r) s[keep] = p;
+        ++keep;
+      } else if (j < i) {
+        slices_[j].push_back(p);
+      } else {
+        up.emplace_back(j, p);
       }
-      const std::size_t j = slice_of(k);
-      if (j != i) {
-        moved.emplace_back(j, s[r]);
-        continue;
-      }
-      s[keep++] = s[r];
     }
     s.resize(keep);
+    arriving.clear();
+    auto rest = up.begin();
+    for (auto& entry : up) {
+      if (entry.first == i) {
+        arriving.push_back(entry.second);
+      } else {
+        *rest++ = entry;
+      }
+    }
+    up.erase(rest, up.end());
+    s.insert(s.begin(), arriving.begin(), arriving.end());
   }
-  for (const auto& [j, p] : moved) slices_[j].push_back(p);
-  return out;
 }
 
-std::size_t SlicedStore::compact_dead() {
-  std::size_t removed = 0;
-  for (auto& s : slices_) {
-    const auto it = std::remove_if(s.begin(), s.end(),
-                                   [](const Particle& p) { return p.dead(); });
-    removed += static_cast<std::size_t>(s.end() - it);
-    s.erase(it, s.end());
+SlicedStore::Movers& SlicedStore::mover_staging() {
+  // One buffer per thread (neither sweep nor reset_bounds yields), so its
+  // capacity follows the largest single visit rather than the number of
+  // stores in the process: a buffer per store raised fountain_is_dlb's
+  // peak RSS by about 10 MB.
+  thread_local Movers movers;
+  return movers;
+}
+
+std::size_t SlicedStore::filter_slice(std::size_t i,
+                                      std::vector<Particle>& crossers,
+                                      Movers& movers) {
+  auto& s = slices_[i];
+  const float a = cuts_[i];
+  const float b = cuts_[i + 1];
+  std::size_t dead = 0;
+  std::size_t keep = 0;
+  const std::size_t n = s.size();
+  for (std::size_t r = 0; r < n; ++r) {
+    const Particle& p = s[r];
+    if (p.dead()) {
+      ++dead;
+      continue;
+    }
+    if (!finite_pos(p)) {
+      // An action blew this particle up (NaN/inf position) — it can't be
+      // routed or kept without corrupting the layout, so drop it here,
+      // the same choice insert() makes.
+      ++nonfinite_dropped_;
+      continue;
+    }
+    const float k = key(p);
+    if (k >= a && k < b) {  // still in slice i (see cuts())
+      if (keep != r) s[keep] = p;
+      ++keep;
+      continue;
+    }
+    if (k < lo_ || k >= hi_) {
+      crossers.push_back(p);
+      continue;
+    }
+    movers.emplace_back(slice_of(k), p);
   }
-  return removed;
+  s.resize(keep);
+  return dead;
 }
 
 Donation SlicedStore::donate_low(std::size_t count) {
@@ -214,6 +294,7 @@ void SlicedStore::adopt_slices(float lo, float hi,
   lo_ = lo;
   hi_ = hi;
   slices_ = std::move(slices);
+  derive_cuts();
 }
 
 std::vector<Particle> SlicedStore::snapshot() const {

@@ -15,8 +15,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "psys/particle.hpp"
@@ -62,21 +62,41 @@ class SlicedStore {
 
   /// Change the owned interval (after a load-balance boundary move or an
   /// initial decomposition) and redistribute current particles into the
-  /// new uniform sub-slices. Particles now outside [lo, hi) stay, clamped
-  /// to edge slices; use extract_outside first.
+  /// new uniform sub-slices, in their current order. Particles now
+  /// outside [lo, hi) stay, clamped to edge slices; sweep first.
   void reset_bounds(float lo, float hi);
 
-  /// Apply `fn` to every sub-slice (mutable spans).
-  void for_each_slice(const std::function<void(std::span<Particle>)>& fn);
+  /// The frame's one visit to every particle (§4). For each non-empty
+  /// sub-slice in order: apply `fn` to it, then, in the same pass over it,
+  /// drop dead particles (counted in the return value) and particles whose
+  /// position went non-finite (counted in nonfinite_dropped()), move the
+  /// particles whose key left [lo, hi) to `crossers` (cleared first) and
+  /// take out those that crossed an internal cut. Those movers are
+  /// re-filed after the whole visit, in scan order, so no particle is
+  /// visited twice and `fn` sees each slice as it was.
+  template <typename Fn>
+  std::size_t sweep(Fn&& fn, std::vector<Particle>& crossers) {
+    crossers.clear();
+    Movers& movers = mover_staging();
+    movers.clear();
+    std::size_t dead = 0;
+    for (std::size_t i = 0; i < slices_.size(); ++i) {
+      if (slices_[i].empty()) continue;
+      fn(std::span<Particle>(slices_[i]));
+      dead += filter_slice(i, crossers, movers);
+    }
+    for (const auto& [j, p] : movers) slices_[j].push_back(p);
+    return dead;
+  }
 
-  /// Remove and return all particles whose key is outside [lo, hi); also
-  /// re-files particles that moved across internal sub-slice cuts. Only
-  /// edge membership tests touch every particle once — this is the cheap
-  /// post-Move pass the sliced layout exists for.
-  std::vector<Particle> extract_outside();
+  /// The sub-slice `insert` files key `k` into: the uniform cut
+  /// ⌊(k − lo) / (hi − lo) · m⌋, clamped to [0, m).
+  std::size_t slice_of(float k) const;
 
-  /// Remove dead particles; returns how many were removed.
-  std::size_t compact_dead();
+  /// The m + 1 cuts c_0 = lo ≤ c_1 ≤ … ≤ c_m = hi. For a finite key k in
+  /// [lo, hi), slice_of(k) == i exactly when c_i ≤ k < c_{i+1}, so the
+  /// sweep tells a particle that stayed in its slice by two compares.
+  std::span<const float> cuts() const { return cuts_; }
 
   /// Remove and return the `count` particles with the LOWEST keys (donate
   /// toward the left neighbor, §3.2.5: "the particles with lower x values
@@ -104,13 +124,20 @@ class SlicedStore {
   std::vector<Particle> take_all();
 
  private:
-  std::size_t slice_of(float k) const;
   Donation donate(std::size_t count, bool low);
+  void derive_cuts();
+  /// Particles that crossed an internal cut: (target slice, particle).
+  using Movers = std::vector<std::pair<std::size_t, Particle>>;
+  /// This thread's staging for movers, reused for its capacity.
+  static Movers& mover_staging();
+  std::size_t filter_slice(std::size_t i, std::vector<Particle>& crossers,
+                           Movers& movers);
 
   int axis_;
   float lo_;
   float hi_;
   std::vector<std::vector<Particle>> slices_;
+  std::vector<float> cuts_;
   std::uint64_t nonfinite_dropped_ = 0;
 };
 

@@ -18,20 +18,6 @@ Camera::Camera(Vec3 eye, Vec3 target, Vec3 up, float vfov_deg, int width,
   focal_px_ = (static_cast<float>(height) * 0.5f) / std::tan(vfov * 0.5f);
 }
 
-std::optional<Projected> Camera::project(Vec3 world) const {
-  const Vec3 rel = world - eye_;
-  const float depth = rel.dot(forward_);
-  if (depth < kNear) return std::nullopt;
-  const float cx = rel.dot(right_);
-  const float cy = rel.dot(up_);
-  Projected out;
-  out.x = static_cast<float>(width_) * 0.5f + focal_px_ * cx / depth;
-  out.y = static_cast<float>(height_) * 0.5f - focal_px_ * cy / depth;
-  out.depth = depth;
-  out.px_per_unit = focal_px_ / depth;
-  return out;
-}
-
 Camera Camera::framing(Vec3 center, float scene_radius, int width,
                        int height) {
   // Pull back far enough that the scene radius fits the vertical FOV.

@@ -27,7 +27,19 @@ class Camera {
   int height() const { return height_; }
 
   /// Project a world point. nullopt when behind the near plane.
-  std::optional<Projected> project(Vec3 world) const;
+  std::optional<Projected> project(Vec3 world) const {
+    const Vec3 rel = world - eye_;
+    const float depth = rel.dot(forward_);
+    if (depth < kNear) return std::nullopt;
+    const float cx = rel.dot(right_);
+    const float cy = rel.dot(up_);
+    Projected out;
+    out.x = static_cast<float>(width_) * 0.5f + focal_px_ * cx / depth;
+    out.y = static_cast<float>(height_) * 0.5f - focal_px_ * cy / depth;
+    out.depth = depth;
+    out.px_per_unit = focal_px_ / depth;
+    return out;
+  }
 
   /// Default framing for a scene bounding range: eye pulled back on +z,
   /// centered on the box.

@@ -23,10 +23,6 @@ Color blend_over(Color src, float alpha, Color dst) {
   return src * a + dst * (1.0f - a);
 }
 
-Color blend_add(Color src, float alpha, Color dst) {
-  return dst + src * std::clamp(alpha, 0.0f, 1.0f);
-}
-
 float luminance(Color c) {
   return 0.2126f * c.x + 0.7152f * c.y + 0.0722f * c.z;
 }

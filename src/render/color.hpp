@@ -28,7 +28,9 @@ Rgb8 to_rgb8(Color linear);
 Color blend_over(Color src, float alpha, Color dst);
 
 /// Energy-additive blend (glowing particles), clamped at write time.
-Color blend_add(Color src, float alpha, Color dst);
+inline Color blend_add(Color src, float alpha, Color dst) {
+  return dst + src * std::clamp(alpha, 0.0f, 1.0f);
+}
 
 /// Perceived luminance (Rec. 709 weights) of a linear color.
 float luminance(Color c);

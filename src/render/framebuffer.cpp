@@ -36,10 +36,4 @@ void Framebuffer::blend(int x, int y, Color c, float alpha, float z) {
   }
 }
 
-void Framebuffer::add(int x, int y, Color c, float alpha) {
-  if (!in_bounds(x, y)) return;
-  const std::size_t i = index(x, y);
-  color_[i] = blend_add(c, alpha, color_[i]);
-}
-
 }  // namespace psanim::render

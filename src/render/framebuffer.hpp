@@ -36,7 +36,11 @@ class Framebuffer {
   void blend(int x, int y, Color c, float alpha, float z);
 
   /// Additive energy splat (no depth interaction).
-  void add(int x, int y, Color c, float alpha);
+  void add(int x, int y, Color c, float alpha) {
+    if (!in_bounds(x, y)) return;
+    const std::size_t i = index(x, y);
+    color_[i] = blend_add(c, alpha, color_[i]);
+  }
 
   const std::vector<Color>& colors() const { return color_; }
   const std::vector<float>& depths() const { return depth_; }

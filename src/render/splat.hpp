@@ -24,6 +24,18 @@ struct SplatStats {
   std::size_t culled = 0;    ///< behind camera or dead
 };
 
+/// std::lround without the library call: round half away from zero. Below
+/// 2^62 in magnitude the float-to-integer truncation is exact and so is
+/// the fraction x − trunc(x); the two compares then add the carry without
+/// a branch (a branchy version is slower on splat-sized inputs). NaN and
+/// larger magnitudes take std::lround itself.
+inline long lround_exact(float x) {
+  if (!(std::fabs(x) < 0x1p62f)) return std::lround(x);
+  const auto i = static_cast<long>(x);
+  const float frac = x - static_cast<float>(i);
+  return i + static_cast<long>(frac >= 0.5f) - static_cast<long>(frac <= -0.5f);
+}
+
 /// Anything with pos/color/alpha/size renders; a dead() member (Particle)
 /// is honored when present.
 template <typename P>
@@ -54,8 +66,8 @@ SplatStats splat_points(Framebuffer& fb, const Camera& cam,
       continue;
     }
     const float radius_px = std::max(0.0f, p.size * proj->px_per_unit);
-    const int cx = static_cast<int>(std::lround(proj->x));
-    const int cy = static_cast<int>(std::lround(proj->y));
+    const int cx = static_cast<int>(lround_exact(proj->x));
+    const int cy = static_cast<int>(lround_exact(proj->y));
     if (radius_px <= 0.75f) {
       // Sub-pixel: one sample, alpha scaled by area coverage.
       const float coverage =

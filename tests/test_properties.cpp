@@ -66,12 +66,14 @@ TEST_P(SeededProperty, StoreNeverLosesParticles) {
     }
     total += add;
     // Scatter particles, some out of range.
-    store.for_each_slice([&](std::span<psys::Particle> ps) {
-      for (auto& p : ps) {
-        p.pos.axis_ref(axis) += rng.uniform(-8, 8);
-      }
-    });
-    const auto out = store.extract_outside();
+    std::vector<psys::Particle> out;
+    store.sweep(
+        [&](std::span<psys::Particle> ps) {
+          for (auto& p : ps) {
+            p.pos.axis_ref(axis) += rng.uniform(-8, 8);
+          }
+        },
+        out);
     const auto donated = store.donate_low(rng.next_below(50));
     EXPECT_EQ(store.size() + out.size() + donated.particles.size(), total);
     total = store.size();

@@ -1,14 +1,18 @@
 // Tests for the software renderer: color math, framebuffer blending and
 // depth, camera projection, splatting, image I/O, comparison utilities and
 // the sort-last compositor's equivalence with single-pass rendering, and
-// the image generator's cached backdrop.
+// the image generator's cached backdrop; the splat's inline rounding and
+// the frame-payload splat against the library calls and divisions they
+// replace.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <limits>
 
 #include "core/image_generator.hpp"
+#include "core/wire.hpp"
 #include "math/rng.hpp"
 #include "render/camera.hpp"
 #include "render/compare.hpp"
@@ -315,6 +319,147 @@ TEST(Objects, CachedBackdropEqualsAFreshClearAndGroundGrid) {
       EXPECT_GT(drawn, 50u);
     }
   }
+}
+
+// --- the splat's exact fast paths ---
+
+TEST(LroundExact, MatchesStdLroundOnSpecials) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::min(),
+                            0.5f,
+                            -0.5f,
+                            std::nextafter(0.5f, 0.0f),
+                            std::nextafter(-0.5f, 0.0f),
+                            0x1p23f,
+                            -0x1p23f,
+                            0x1p31f,
+                            -0x1p31f,
+                            std::nextafter(0x1p62f, 0.0f),
+                            -std::nextafter(0x1p62f, 0.0f),
+                            0x1p62f,
+                            -0x1p62f,
+                            0x1p63f,
+                            -0x1p63f,
+                            std::numeric_limits<float>::max(),
+                            -std::numeric_limits<float>::max(),
+                            inf,
+                            -inf,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN()};
+  for (const float x : specials) {
+    EXPECT_EQ(lround_exact(x), std::lround(x)) << x;
+  }
+}
+
+TEST(LroundExact, MatchesStdLroundAroundEveryHalfInteger) {
+  // Every h = n + 0.5 below 2^23 is a float; check it and its neighbours,
+  // on both signs (8.4M half-integers, ~50M calls).
+  const float inf = std::numeric_limits<float>::infinity();
+  std::size_t mismatches = 0;
+  float first_bad = 0.0f;
+  for (std::uint32_t n = 0; n < (1u << 23); ++n) {
+    const float h = static_cast<float>(n) + 0.5f;
+    for (const float x : {h, std::nextafter(h, -inf), std::nextafter(h, inf),
+                          -h, std::nextafter(-h, -inf),
+                          std::nextafter(-h, inf)}) {
+      if (lround_exact(x) != std::lround(x)) {
+        if (mismatches++ == 0) first_bad = x;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first mismatch at " << first_bad;
+}
+
+/// The unpack and splat as first written: divisions by 255 and
+/// std::lround. The frame path must reproduce them bit for bit.
+core::RenderVertex unpack_by_division(const core::PackedVertex& p) {
+  core::RenderVertex v;
+  v.pos = {p.x, p.y, p.z};
+  v.color = {static_cast<float>(p.r) / 255.0f,
+             static_cast<float>(p.g) / 255.0f,
+             static_cast<float>(p.b) / 255.0f};
+  v.alpha = 1.0f;
+  v.size = static_cast<float>(p.size_q) / 255.0f * core::kMaxSplatSize;
+  return v;
+}
+
+void splat_with_lround(Framebuffer& fb, const Camera& cam,
+                       const std::vector<core::RenderVertex>& verts) {
+  for (const auto& p : verts) {
+    const auto proj = cam.project(p.pos);
+    if (!proj) continue;
+    const float radius_px = std::max(0.0f, p.size * proj->px_per_unit);
+    const int cx = static_cast<int>(std::lround(proj->x));
+    const int cy = static_cast<int>(std::lround(proj->y));
+    if (radius_px <= 0.75f) {
+      const float coverage =
+          std::min(1.0f, radius_px * radius_px * 4.0f + 0.05f);
+      fb.add(cx, cy, p.color, p.alpha * coverage);
+      continue;
+    }
+    const int r = static_cast<int>(std::ceil(radius_px));
+    const float inv_r2 = 1.0f / (radius_px * radius_px);
+    for (int dy = -r; dy <= r; ++dy) {
+      for (int dx = -r; dx <= r; ++dx) {
+        const float falloff =
+            1.0f - static_cast<float>(dx * dx + dy * dy) * inv_r2;
+        if (falloff > 0.0f) {
+          fb.add(cx + dx, cy + dy, p.color, p.alpha * falloff);
+        }
+      }
+    }
+  }
+}
+
+TEST(Splat, FramePayloadSplatsBitForBitAsDecoded) {
+  // Close framing: a world unit spans ~50 px, so sizes in [0, 0.5] give
+  // both sub-pixel samples and discs tens of pixels wide.
+  const Camera cam = Camera::framing({0, 0, 0}, 2.0f, 160, 120);
+  Rng rng(23);
+  std::vector<core::RenderVertex> verts;
+  std::size_t large = 0;
+  for (int i = 0; i < 3000; ++i) {
+    core::RenderVertex v;
+    v.pos = rng.in_box({-3, -3, -3}, {3, 3, 3});
+    v.color = {rng.next_float(), rng.next_float(), rng.next_float()};
+    v.alpha = rng.next_float();
+    v.size = i % 3 == 0 ? rng.next_float() * core::kMaxSplatSize
+                        : rng.next_float() * 0.02f;
+    const auto proj = cam.project(v.pos);
+    if (proj && v.size * proj->px_per_unit > 0.75f) ++large;
+    verts.push_back(v);
+  }
+  ASSERT_GT(large, 100u);
+  ASSERT_LT(large, 2000u);
+
+  mp::Message m;
+  m.payload = mp::Payload(core::encode_frame_vertices(7, verts).take());
+
+  Framebuffer viewed(160, 120);
+  const core::FrameVertexView view(m, 7);
+  view.for_each_chunk([&](std::span<const core::RenderVertex> chunk) {
+    splat_points(viewed, cam, chunk, BlendMode::kAdditive);
+  });
+
+  Framebuffer decoded(160, 120);
+  const auto all = core::decode_frame_vertices(m, 7);
+  splat_points(decoded, cam, std::span<const core::RenderVertex>(all),
+               BlendMode::kAdditive);
+
+  Framebuffer reference(160, 120);
+  std::vector<core::RenderVertex> unpacked;
+  for (const auto& v : verts) {
+    unpacked.push_back(unpack_by_division(core::pack_vertex(v)));
+  }
+  splat_with_lround(reference, cam, unpacked);
+
+  EXPECT_EQ(hash_framebuffer(viewed), hash_framebuffer(decoded));
+  EXPECT_EQ(hash_framebuffer(viewed), hash_framebuffer(reference));
+  EXPECT_NE(hash_framebuffer(viewed), hash_framebuffer(Framebuffer(160, 120)));
 }
 
 }  // namespace

@@ -11,9 +11,15 @@
 // out-of-bounds read shows under ASan. The corpus is generated in-process
 // from fixed seeds (splitmix64), so the suite is deterministic and nothing
 // binary is committed.
+//
+// The FramePack tests pin the encoder's exactness on the same inputs a
+// fuzzer would aim at: the calculator's lane-parallel pack against the
+// scalar pack_vertex on every special float, and the unpack's lookup
+// tables against the divisions they replace.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -25,6 +31,7 @@
 #include "ckpt/format.hpp"
 #include "core/wire.hpp"
 #include "mp/message.hpp"
+#include "psys/store.hpp"
 
 namespace psanim {
 namespace {
@@ -344,6 +351,102 @@ TEST(WireFuzz, FrameVertexVisitorAcrossChunkBoundaries) {
       bytes[pos] ^= static_cast<std::byte>(1u << rng.below(8));
       decode(c, bytes);  // either outcome; the visitor checks itself
     }
+  }
+}
+
+/// Floats where a quantizer can go wrong: NaN (both signs), infinities,
+/// signed zeros, denormals, 1 ± ulp, and for every byte k the inputs
+/// whose · 255 + 0.5 lands on or next to k + 0.5 and k + 1.
+std::vector<float> special_floats() {
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> v = {std::numeric_limits<float>::quiet_NaN(),
+                          -std::numeric_limits<float>::quiet_NaN(),
+                          inf,
+                          -inf,
+                          0.0f,
+                          -0.0f,
+                          std::numeric_limits<float>::denorm_min(),
+                          -std::numeric_limits<float>::denorm_min(),
+                          std::numeric_limits<float>::min(),
+                          1.0f,
+                          std::nextafter(1.0f, 0.0f),
+                          std::nextafter(1.0f, 2.0f),
+                          -1.0f,
+                          2.0f,
+                          1e30f,
+                          std::numeric_limits<float>::max()};
+  for (int k = 0; k < 256; ++k) {
+    for (const float base : {static_cast<float>(k) / 255.0f,
+                             (static_cast<float>(k) + 0.5f) / 255.0f}) {
+      v.push_back(base);
+      v.push_back(std::nextafter(base, -inf));
+      v.push_back(std::nextafter(base, inf));
+    }
+  }
+  return v;
+}
+
+TEST(FramePack, LaneKernelMatchesScalarPackOnSpecials) {
+  const std::vector<float> vals = special_floats();
+  const float alphas[] = {1.0f,
+                          0.5f,
+                          0.0f,
+                          -0.0f,
+                          -1.0f,
+                          std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::denorm_min(),
+                          std::nextafter(1.0f, 2.0f)};
+  std::vector<psys::SlicedStore> stores;
+  stores.emplace_back(0, -1e6f, 1e6f, 4);
+  Rng rng{11};
+  const std::size_t n = vals.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const float a : alphas) {
+      psys::Particle p;
+      p.pos = {static_cast<float>(rng.below(2000)) - 1000.0f, -0.0f,
+               std::numeric_limits<float>::denorm_min()};
+      p.color = {vals[i], vals[(i + 1) % n], vals[(i + 7) % n]};
+      p.alpha = a;
+      // Sizes on both sides of kMaxSplatSize, NaN and the quantizer's
+      // boundaries scaled onto the size range.
+      p.size = vals[(i + 3) % n] * (i % 2 ? core::kMaxSplatSize : 3.0f);
+      stores.back().insert(p);
+    }
+  }
+  const std::vector<psys::Particle> all = stores.back().snapshot();
+  ASSERT_EQ(all.size(), n * std::size(alphas));
+
+  std::vector<core::RenderVertex> verts;
+  for (const auto& p : all) verts.push_back(core::to_render_vertex(p));
+  const Bytes lanes = bytes_of(core::encode_frame_vertices(
+      kFrame, std::span<const psys::SlicedStore>(stores)));
+  const Bytes scalar = bytes_of(core::encode_frame_vertices(kFrame, verts));
+  ASSERT_EQ(lanes.size(), scalar.size());
+  const std::size_t head =
+      lanes.size() - all.size() * sizeof(core::PackedVertex);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const std::size_t at = head + i * sizeof(core::PackedVertex);
+    ASSERT_EQ(std::memcmp(lanes.data() + at, scalar.data() + at,
+                          sizeof(core::PackedVertex)),
+              0)
+        << "vertex " << i << ": color " << all[i].color.x << ","
+        << all[i].color.y << "," << all[i].color.z << " alpha "
+        << all[i].alpha << " size " << all[i].size;
+  }
+  EXPECT_EQ(std::memcmp(lanes.data(), scalar.data(), head), 0);
+}
+
+TEST(FramePack, UnpackTablesMatchDivision) {
+  for (int i = 0; i < 256; ++i) {
+    core::PackedVertex p;
+    p.r = p.g = p.b = p.size_q = static_cast<std::uint8_t>(i);
+    const core::RenderVertex v = core::unpack_vertex(p);
+    const float unit = static_cast<float>(i) / 255.0f;
+    const float size = static_cast<float>(i) / 255.0f * core::kMaxSplatSize;
+    EXPECT_EQ(std::memcmp(&v.color.x, &unit, sizeof(float)), 0) << i;
+    EXPECT_EQ(std::memcmp(&v.color.z, &unit, sizeof(float)), 0) << i;
+    EXPECT_EQ(std::memcmp(&v.size, &size, sizeof(float)), 0) << i;
   }
 }
 
